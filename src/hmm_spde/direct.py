@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSpec
-from .micro import step_replicas
+from .micro import _CHUNK_STEPS, step_replicas
 from .noise import NoiseIncrement, derive_key, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
 
@@ -108,9 +108,8 @@ def run_direct(
 
     key = derive_key(seed, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG)
     done = 0
-    chunk = 32768
     while done < n_steps:
-        n_chunk = min(chunk, n_steps - done)
+        n_chunk = min(_CHUNK_STEPS, n_steps - done)
         incr = draw_increments(key.advanced(done), tau, K, n_chunk)
         for i in range(n_chunk):
             x_grid = to_grid(X)

@@ -6,6 +6,13 @@ sine basis e_k(xi) = sqrt(2) sin(k pi xi), k = 1..K.  Diagonal operators
 (Nemytskii) evaluations go through the collocation grid xi_i = i/(K+1), on
 which the type-I discrete sine transform is exactly invertible.
 
+The grid transforms call scipy's pocketfft DST-I kernel directly rather than
+``scipy.fft.dst``: at K <= 63 the per-call dispatch of ``scipy.fft.dst``
+(backend lookup, argument normalisation) cost several times the transform
+itself.  The kernel call is the one ``scipy.fft.dst(x, type=1, axis=-1)``
+makes, so results agree with it bit for bit; ``tests/test_spectral.py``
+asserts this.
+
 All functions are pure and operate on plain numpy arrays.
 """
 
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
 __all__ = [
     "OperatorSpec",
@@ -28,6 +35,8 @@ __all__ = [
     "h_norm",
     "implicit_euler_step",
 ]
+
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -107,19 +116,24 @@ def h_norm(coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(coeffs))
 
 
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Unnormalised DST-I along the last axis, single-threaded."""
+    return _pocketfft_dst(x, 1, (-1,), 0, None, 1)
+
+
 def to_grid(coeffs: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient vector on the collocation grid.
 
     Works on the last axis, so stacked fields of shape (..., K) transform in
     one call.
     """
-    return dst(coeffs, type=1, axis=-1) / np.sqrt(2.0)
+    return _dst1(np.asarray(coeffs, dtype=np.float64)) / _SQRT2
 
 
 def to_spectral(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_grid`; exact up to roundoff on the matching grid."""
-    K = np.asarray(values).shape[-1]
-    return dst(values, type=1, axis=-1) / (np.sqrt(2.0) * (K + 1))
+    values = np.asarray(values, dtype=np.float64)
+    return _dst1(values) / (_SQRT2 * (values.shape[-1] + 1))
 
 
 def implicit_euler_step(

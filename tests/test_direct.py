@@ -72,6 +72,18 @@ class TestRunDirect:
         np.testing.assert_array_equal(a.trajectory_X, b.trajectory_X)
         np.testing.assert_array_equal(a.final_Y, b.final_Y)
 
+    def test_chunked_equals_unchunked(self, monkeypatch):
+        import hmm_spde.direct as direct_mod
+
+        K = 4
+        op = laplacian_spec(K)
+        kw = dict(epsilon=0.1, dt=0.01, T=0.3, seed=5)
+        full = run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
+        monkeypatch.setattr(direct_mod, "_CHUNK_STEPS", 7)
+        chunked = run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
+        np.testing.assert_array_equal(full.trajectory_X, chunked.trajectory_X)
+        np.testing.assert_array_equal(full.final_Y, chunked.final_Y)
+
     def test_y_independent_f_matches_averaged_scheme(self):
         # decoupled slow equation: the X trajectory equals the deterministic
         # scheme with the same step

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -167,11 +168,69 @@ class TestGridTransforms:
     def test_grid_points(self):
         np.testing.assert_allclose(grid_points(3), [0.25, 0.5, 0.75])
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        c=st.integers(1, 1023).flatmap(
+            lambda K: arrays(
+                np.float64,
+                (K,),
+                elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+            )
+        )
+    )
+    def test_round_trip_any_mode_count(self, c):
+        scale = max(1.0, float(np.max(np.abs(c))))
+        np.testing.assert_allclose(
+            to_spectral(to_grid(c)), c, rtol=1e-12, atol=1e-12 * scale
+        )
+
     def test_batched_transform_matches_rows(self):
         rng = np.random.default_rng(4)
-        block = rng.standard_normal((5, 16))
-        rows = np.stack([to_grid(r) for r in block])
-        np.testing.assert_array_equal(to_grid(block), rows)
+        # (8, 15): K = 15 rows as the direct solver transforms them one at a
+        # time; (16, 63): the replica stack of an M = 16, K = 63 HMM run
+        for shape in [(5, 16), (8, 15), (16, 63)]:
+            block = rng.standard_normal(shape)
+            rows = np.stack([to_grid(r) for r in block])
+            np.testing.assert_array_equal(to_grid(block), rows)
+
+
+def _reference_to_grid(x):
+    return scipy.fft.dst(x, type=1, axis=-1) / np.sqrt(2.0)
+
+
+def _reference_to_spectral(x):
+    K = np.asarray(x).shape[-1]
+    return scipy.fft.dst(x, type=1, axis=-1) / (np.sqrt(2.0) * (K + 1))
+
+
+class TestKernelMatchesScipyDst:
+    """to_grid/to_spectral call the pocketfft kernel directly; they must agree
+    bit for bit with the public ``scipy.fft.dst`` formula they replace."""
+
+    @staticmethod
+    def _check(x):
+        before = np.array(x, copy=True)
+        np.testing.assert_array_equal(to_grid(x), _reference_to_grid(x))
+        np.testing.assert_array_equal(to_spectral(x), _reference_to_spectral(x))
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("lead", [(), (16,), (3, 4)])
+    @pytest.mark.parametrize("K", [1, 2, 15, 16, 63, 64, 1023])
+    def test_bitwise(self, K, lead):
+        self._check(np.random.default_rng(K).standard_normal(lead + (K,)))
+
+    @pytest.mark.parametrize("K", [1, 15, 63])
+    def test_non_contiguous_view(self, K):
+        base = np.random.default_rng(5).standard_normal((9, 2 * K))
+        view = base[::2, ::2]
+        assert not view.flags.c_contiguous
+        self._check(view)
+
+    def test_int_list_is_converted_to_float64(self):
+        x = [1, -2, 3, 0, 5]
+        assert to_grid(x).dtype == np.float64
+        assert to_spectral(x).dtype == np.float64
+        self._check(x)
 
 
 def test_implicit_euler_step_combines_resolvent_and_forcing():
