@@ -11,12 +11,24 @@ effective step dt/eps exactly; with a y-independent F the slow component
 reproduces the averaged scheme bitwise.  The point of this solver is the
 cost comparison: it must take ~ T/dt steps with dt ~ eps, while the
 multiscale driver's micro work does not grow as eps shrinks.
+
+:func:`run_direct` takes one seed or a sequence of S seeds.  A sequence runs
+S independent copies in lock step as (S, K) stacks through the same loop;
+each copy reads its own Philox stream, so copy s equals the single-seed run
+with seed s bit for bit (every stage is a row-wise transform or
+elementwise).  Arrays then gain a seed axis: the slow trajectory is
+(steps + 1, S, K) and the final fields are (S, K).  ``cost`` sums the
+coupled steps over the seeds, S * ceil(T/dt).  The recorded trajectory
+takes (steps + 1) * S * K * 8 bytes; callers that only read endpoints pass
+``trajectory=False``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +54,20 @@ class DirectState:
 
 @dataclass(frozen=True)
 class DirectRun:
-    trajectory_X: np.ndarray  # (steps + 1, K)
+    """Result of :func:`run_direct`.
+
+    With an int seed the arrays are single fields: ``trajectory_X`` is
+    (steps + 1, K), ``final_X`` and ``final_Y`` are (K,).  With a sequence
+    of S seeds they carry a seed axis: (steps + 1, S, K) and (S, K).
+    ``trajectory_X`` is None when the run was made with ``trajectory=False``.
+    """
+
+    trajectory_X: np.ndarray | None
+    final_X: np.ndarray
     final_Y: np.ndarray
-    cost: int  # micro-equivalent steps = number of coupled steps
+    cost: int  # coupled steps summed over the seeds: S * ceil(T/dt)
     dt: float
-    seed: int
+    seed: int | tuple[int, ...]
 
 
 def direct_step(
@@ -85,11 +106,27 @@ def run_direct(
     epsilon: float,
     dt: float,
     T: float,
-    seed: int,
+    seed: int | Sequence[int],
+    trajectory: bool = True,
 ) -> DirectRun:
-    """Integrate the coupled system to time T; cost is ceil(T/dt) steps."""
+    """Integrate the coupled system to time T in ceil(T/dt) steps.
+
+    ``seed`` is an int or a sequence of S seeds.  A sequence advances S
+    copies from the same (K,) initial fields ``x0``, ``y0`` in lock step;
+    copy s draws its noise from ``derive_key(seed[s], 0, 0, 1,
+    stream_tag=DIRECT_STREAM_TAG)`` and equals the single-seed run with
+    that seed bit for bit.  ``cost`` is S * ceil(T/dt), the coupled steps
+    summed over the seeds.  The trajectory of the slow field takes
+    (steps + 1) * S * K * 8 bytes; ``trajectory=False`` skips it and leaves
+    only the final fields.  A non-finite state raises ValueError naming the
+    seeds and the range of steps it appeared in.
+    """
     if dt <= 0 or T <= 0 or epsilon <= 0:
         raise ValueError("dt, T and epsilon must be positive")
+    single = isinstance(seed, numbers.Integral)
+    seeds = (seed,) if single else tuple(seed)
+    if not seeds:
+        raise ValueError("seed sequence is empty")
     tau = dt / epsilon
     if tau > 0.5:
         warnings.warn(
@@ -97,27 +134,51 @@ def run_direct(
             stacklevel=2,
         )
     n_steps = math.ceil(T / dt - 1e-12)
+    S = len(seeds)
     K = x0.shape[-1]
 
     xi = grid_points(K)
     res = 1.0 / (1.0 + tau * op_b.eigenvalues)
-    X = np.array(x0, dtype=float)
-    Y = np.array(y0, dtype=float)
-    traj = np.empty((n_steps + 1, K))
-    traj[0] = X
+    X = np.empty((S, K))
+    X[:] = x0
+    Y = np.empty((S, K))
+    Y[:] = y0
+    traj = np.empty((n_steps + 1, S, K)) if trajectory else None
+    if traj is not None:
+        traj[0] = X
 
-    key = derive_key(seed, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG)
+    keys = [derive_key(s, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG) for s in seeds]
+    # one noise buffer holds about _CHUNK_STEPS * K numbers whatever S is
+    chunk = max(1, _CHUNK_STEPS // S)
     done = 0
     while done < n_steps:
-        n_chunk = min(_CHUNK_STEPS, n_steps - done)
-        incr = draw_increments(key.advanced(done), tau, K, n_chunk)
+        n_chunk = min(chunk, n_steps - done)
+        incr = np.stack(
+            [draw_increments(key.advanced(done), tau, K, n_chunk) for key in keys], axis=1
+        )
         for i in range(n_chunk):
             x_grid = to_grid(X)
             f_val = to_spectral(coeffs.f(xi, x_grid, to_grid(Y)))
             X_next = implicit_euler_step(X, f_val, dt, op_a)
             Y = step_replicas(Y, x_grid, xi, incr[i], res, tau, coeffs)
             X = X_next
-            traj[done + i + 1] = X
+            if traj is not None:
+                traj[done + i + 1] = X
+        _check_finite(X, Y, seeds, done + 1, done + n_chunk)
         done += n_chunk
 
-    return DirectRun(trajectory_X=traj, final_Y=Y, cost=n_steps, dt=dt, seed=seed)
+    if single:  # drop the seed axis
+        traj = None if traj is None else traj[:, 0]
+        X, Y = X[0], Y[0]
+    return DirectRun(trajectory_X=traj, final_X=X, final_Y=Y, cost=S * n_steps,
+                     dt=dt, seed=seed if single else seeds)
+
+
+def _check_finite(X: np.ndarray, Y: np.ndarray, seeds, first: int, last: int) -> None:
+    """Raise if any (S, K) row of X or Y holds a NaN or an infinity."""
+    ok = np.isfinite(X).all(axis=-1) & np.isfinite(Y).all(axis=-1)
+    if not ok.all():
+        bad = [seeds[s] for s in np.flatnonzero(~ok)]
+        raise ValueError(
+            f"non-finite state for seed(s) {bad} within steps {first}..{last}"
+        )

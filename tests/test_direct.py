@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hmm_spde.direct as direct_mod
 from hmm_spde.averaging import run_averaged
 from hmm_spde.coefficients import CoefficientSpec, eval_F, preset
 from hmm_spde.direct import DirectState, direct_step, run_direct
@@ -73,16 +78,31 @@ class TestRunDirect:
         np.testing.assert_array_equal(a.final_Y, b.final_Y)
 
     def test_chunked_equals_unchunked(self, monkeypatch):
-        import hmm_spde.direct as direct_mod
-
+        # one seed (7-step chunks) and three seeds (7 // 3 = 2-step chunks)
         K = 4
         op = laplacian_spec(K)
-        kw = dict(epsilon=0.1, dt=0.01, T=0.3, seed=5)
-        full = run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
-        monkeypatch.setattr(direct_mod, "_CHUNK_STEPS", 7)
-        chunked = run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
-        np.testing.assert_array_equal(full.trajectory_X, chunked.trajectory_X)
-        np.testing.assert_array_equal(full.final_Y, chunked.final_Y)
+        for seed in (5, [5, 6, 7]):
+            kw = dict(epsilon=0.1, dt=0.01, T=0.3, seed=seed)
+            with monkeypatch.context() as m:
+                full = run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
+                m.setattr(direct_mod, "_CHUNK_STEPS", 7)
+                chunked = run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
+            np.testing.assert_array_equal(full.trajectory_X, chunked.trajectory_X)
+            np.testing.assert_array_equal(full.final_Y, chunked.final_Y)
+
+    def test_final_fields_and_no_trajectory(self):
+        K = 5
+        op = laplacian_spec(K)
+        for seed in (9, [9, 10]):
+            kw = dict(epsilon=0.1, dt=0.01, T=0.15, seed=seed)
+            full = run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
+            bare = run_direct(default_x0(K), np.zeros(K), P1, op, op,
+                              trajectory=False, **kw)
+            np.testing.assert_array_equal(full.final_X, full.trajectory_X[-1])
+            assert bare.trajectory_X is None
+            np.testing.assert_array_equal(bare.final_X, full.final_X)
+            np.testing.assert_array_equal(bare.final_Y, full.final_Y)
+            assert bare.cost == full.cost
 
     def test_y_independent_f_matches_averaged_scheme(self):
         # decoupled slow equation: the X trajectory equals the deterministic
@@ -134,3 +154,71 @@ class TestRunDirect:
         dir_run = run_direct(default_x0(K), np.zeros(K), P1, op, op,
                              epsilon=0.2, dt=0.004, T=0.04, seed=123)
         assert not np.array_equal(hmm_run.final_micro_states[0], dir_run.final_Y)
+
+
+def nan_spec():
+    return CoefficientSpec(
+        name="nan",
+        f=lambda xi, x, y: np.full(np.broadcast_shapes(np.shape(xi), np.shape(y)), np.nan),
+        g=None, sup_f=0.0, sup_g=0.0, lipschitz_g_y=0.0,
+    )
+
+
+class TestSeedAxis:
+    SEEDS = [3, 2**33 + 7, 3, mix_seed(1, 2)]  # a duplicate and a seed >= 2^33
+
+    @pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+    def test_rows_equal_single_seed_runs(self, problem):
+        K = 7
+        op = laplacian_spec(K)
+        coeffs = preset(problem)
+        kw = dict(epsilon=0.1, dt=0.005, T=0.1)
+        batch = run_direct(default_x0(K), np.zeros(K), coeffs, op, op,
+                           seed=self.SEEDS, **kw)
+        S = len(self.SEEDS)
+        assert batch.trajectory_X.shape == (21, S, K)
+        assert batch.final_X.shape == batch.final_Y.shape == (S, K)
+        assert batch.cost == S * 20
+        assert batch.seed == tuple(self.SEEDS)
+        for s, seed in enumerate(self.SEEDS):
+            one = run_direct(default_x0(K), np.zeros(K), coeffs, op, op, seed=seed, **kw)
+            np.testing.assert_array_equal(batch.trajectory_X[:, s], one.trajectory_X)
+            np.testing.assert_array_equal(batch.final_X[s], one.final_X)
+            np.testing.assert_array_equal(batch.final_Y[s], one.final_Y)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
+        chunk=st.integers(1, 9),
+    )
+    def test_any_seeds_any_chunk_split(self, seeds, chunk):
+        K = 4
+        op = laplacian_spec(K)
+        kw = dict(epsilon=0.1, dt=0.01, T=0.1)
+        singles = [run_direct(default_x0(K), np.zeros(K), P1, op, op, seed=s, **kw)
+                   for s in seeds]
+        with mock.patch.object(direct_mod, "_CHUNK_STEPS", chunk):
+            batch = run_direct(default_x0(K), np.zeros(K), P1, op, op, seed=seeds, **kw)
+        assert batch.cost == len(seeds) * 10
+        for s, one in enumerate(singles):
+            np.testing.assert_array_equal(batch.trajectory_X[:, s], one.trajectory_X)
+            np.testing.assert_array_equal(batch.final_Y[s], one.final_Y)
+
+    def test_empty_seed_sequence_rejected(self):
+        K = 3
+        op = laplacian_spec(K)
+        with pytest.raises(ValueError, match="empty"):
+            run_direct(default_x0(K), np.zeros(K), P1, op, op,
+                       epsilon=0.1, dt=0.01, T=0.05, seed=[])
+
+    def test_non_finite_state_raises(self, monkeypatch):
+        K = 3
+        op = laplacian_spec(K)
+        kw = dict(epsilon=0.1, dt=0.01, T=0.05)
+        with pytest.raises(ValueError, match=r"seed\(s\) \[4\] within steps 1\.\.5"):
+            run_direct(default_x0(K), np.zeros(K), nan_spec(), op, op, seed=4, **kw)
+        # the check runs once per noise chunk: 4 // 2 seeds = 2-step chunks
+        monkeypatch.setattr(direct_mod, "_CHUNK_STEPS", 4)
+        with pytest.raises(ValueError, match=r"seed\(s\) \[4, 8\] within steps 1\.\.2"):
+            run_direct(default_x0(K), np.zeros(K), nan_spec(), op, op, seed=[4, 8],
+                       trajectory=False, **kw)

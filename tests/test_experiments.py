@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hmm_spde.averaging import run_averaged
-from hmm_spde.coefficients import CoefficientSpec
+from hmm_spde.averaging import gaussian_nu, make_gaussian_fbar, reference_solution, run_averaged
+from hmm_spde.coefficients import CoefficientSpec, preset
+from hmm_spde.direct import run_direct
 from hmm_spde.experiments import (
     TestFunctional,
     averaging_experiment,
@@ -247,6 +248,37 @@ class TestAveraging:
         b = averaging_experiment(**kw)
         assert a.strong.rows == b.strong.rows
         assert a.weak.rows == b.weak.rows
+
+    @pytest.mark.parametrize("K", [7, 15])
+    def test_rows_equal_per_seed_loop(self, K):
+        # the batched seeds give the same rows, bit for bit, as one
+        # run_direct call per seed; at K = 15 this also pins the per-seed
+        # norm (an axis-wise norm over the stack changes these bits)
+        T, tau_direct, n_seeds, seed = 0.1, 0.02, 3, 2
+        eps_values = (0.1, 0.03)
+        rep = averaging_experiment(eps_values=eps_values, K=K, T=T,
+                                   tau_direct=tau_direct, n_seeds=n_seeds, seed=seed)
+        op = laplacian_spec(K)
+        coeffs = preset("p1")
+        fbar = make_gaussian_fbar(coeffs, gaussian_nu(op), quad_order=40)
+        x0 = default_x0(K)
+        ref = reference_solution(x0, fbar, op, T, T / 2048)
+        h = np.zeros(K)
+        h[0] = 1.0
+        phi = TestFunctional(kind="cos_inner", h=h)
+        for ip, eps in enumerate(sorted(eps_values, reverse=True)):
+            dist = np.empty(n_seeds)
+            phis = np.empty(n_seeds)
+            for s in range(n_seeds):
+                run = run_direct(x0, np.zeros(K), coeffs, op, op, eps, eps * tau_direct,
+                                 T, mix_seed(seed, ip, s))
+                dist[s] = np.linalg.norm(run.trajectory_X[-1] - ref.field)
+                phis[s] = phi(run.trajectory_X[-1])
+            strong, weak = rep.strong.rows[ip], rep.weak.rows[ip]
+            assert strong.error == dist.mean()
+            assert strong.mc_stderr == dist.std(ddof=1) / math.sqrt(n_seeds)
+            assert weak.error == abs(phis.mean() - phi(ref.field))
+            assert weak.mc_stderr == phis.std(ddof=1) / math.sqrt(n_seeds)
 
     def test_refining_dt_does_not_move_estimates(self):
         # at fixed eps, halving the direct step changes the strong-error
