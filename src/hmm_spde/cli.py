@@ -86,12 +86,24 @@ def _write_rate_report(report: RateReport, out_dir: Path) -> None:
           f"[{report.ci_low:.4f}, {report.ci_high:.4f}])")
 
 
+def _check_horizon(T: float, dt: float) -> None:
+    """Reject a --T that --dt does not divide (relative tolerance 1e-9).
+
+    The solvers do not end at such a T: ``run_hmm`` takes floor(T/dt) macro
+    steps and ``run_direct`` ceil(T/dt) steps, so the last CSV row would sit
+    short of or past the T written to the cost file.
+    """
+    if dt > 0 and T > 0 and abs(round(T / dt) * dt - T) > 1e-9 * T:
+        raise SystemExit(f"--T {T} is not a whole number of --dt {dt} steps")
+
+
 def _hmm_params_from_args(args) -> HmmParams:
     explicit = args.dt is not None or args.ddt is not None
     if explicit:
         missing = [n for n in ("dt", "ddt") if getattr(args, n) is None]
         if missing:
             raise SystemExit(f"explicit parameter mode needs --dt and --ddt (missing {missing})")
+        _check_horizon(args.T, args.dt)
         return HmmParams(
             epsilon=args.epsilon, macro_dt=args.dt, micro_dt=args.ddt, T=args.T,
             N=args.N, M=args.M, n_T=args.nT,
@@ -128,6 +140,7 @@ def _cmd_hmm_run(args) -> None:
 
 
 def _cmd_direct_run(args) -> None:
+    _check_horizon(args.T, args.dt)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     K = args.K

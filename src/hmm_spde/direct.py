@@ -111,6 +111,8 @@ def run_direct(
 ) -> DirectRun:
     """Integrate the coupled system to time T in ceil(T/dt) steps.
 
+    The run ends at ceil(T/dt) * dt, past T when dt does not divide it.
+
     ``seed`` is an int or a sequence of S seeds.  A sequence advances S
     copies from the same (K,) initial fields ``x0``, ``y0`` in lock step;
     copy s draws its noise from ``derive_key(seed[s], 0, 0, 1,

@@ -11,6 +11,18 @@ X_{n+1} = S_dt (X_n + dt * Ftilde_n).  Carried states Y_{n+1,0,j} = Y_{n,m0,j}
 keep each replica chain a single concatenated noise process: the noise block
 of micro step m inside macro step n sits at global position n*m0 + m of
 replica j's stream, so macro step n only ever reads blocks with macro index n.
+A run therefore opens one Philox stream per (seed, replica) at macro step 0,
+``derive_key(seed, 0, 0, j, steps_per_macro=m0)``, and reads it forward in
+chunks of at most one macro block and about ``_CHUNK_STEPS * K`` numbers,
+each converted in place in one buffer.
+
+:func:`run_hmm` takes one seed or a sequence of S seeds.  A sequence runs S
+independent copies in lock step: the slow fields are (S, K) and the replica
+states (S, M, K) stacks through the same loop, and copy s equals the
+single-seed run with seed s bit for bit (every stage is a row-wise
+transform, an elementwise map or a sum over the replica axis in replica
+order).  :func:`estimate_ftilde` runs one macro block of one seed through
+the same kernel.
 
 Parameter selection follows the tolerance calculus: with target error tol and
 exponent margins r, kappa,
@@ -28,7 +40,9 @@ delta t = epsilon * tau' and its cost grows like 1/epsilon.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +52,8 @@ from .coefficients import (
     check_strict_dissipativity,
     check_weak_dissipativity,
 )
-from .micro import contraction_factor, step_replicas
-from .noise import derive_key, draw_increments
+from .micro import _CHUNK_STEPS, contraction_factor, step_replicas
+from .noise import NoiseStreams, derive_key, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
 
 __all__ = [
@@ -61,6 +75,8 @@ class HmmParams:
 
     n_T >= 1 is enforced: the averaging window must not include the carried
     state before any step of the current macro block has been taken.
+    n_0 = floor(T / macro_dt) whole macro steps, so a run ends at
+    n_0 * macro_dt, short of T when macro_dt does not divide it.
     """
 
     epsilon: float
@@ -107,6 +123,12 @@ class HmmState:
 
 @dataclass(frozen=True)
 class CostReport:
+    """Micro-step work of a run.
+
+    ``total_micro_steps`` is summed over the seeds of a batched run;
+    ``cost_per_unit_time`` is the rate M * m_0 / macro_dt of one run.
+    """
+
     total_micro_steps: int
     cost_per_unit_time: float
     n_macro_steps: int
@@ -118,11 +140,18 @@ class CostReport:
 
 @dataclass(frozen=True)
 class HmmRun:
-    trajectory: np.ndarray  # (n_0 + 1, K)
+    """Result of :func:`run_hmm`.
+
+    With an int seed ``trajectory`` is (n_0 + 1, K) and
+    ``final_micro_states`` (M, K).  With a sequence of S seeds they carry a
+    seed axis: (n_0 + 1, S, K) and (S, M, K).
+    """
+
+    trajectory: np.ndarray
     cost: CostReport
     final_micro_states: np.ndarray
     params: HmmParams
-    seed: int
+    seed: int | tuple[int, ...]
 
     @property
     def X_final(self) -> np.ndarray:
@@ -137,7 +166,6 @@ def estimate_ftilde(
     macro_index: int,
     coeffs: CoefficientSpec,
     op_b: OperatorSpec,
-    audit: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance all replicas one macro block and average F over the window.
 
@@ -150,34 +178,65 @@ def estimate_ftilde(
     states = np.asarray(micro_states, dtype=float)
     if states.ndim != 2 or states.shape != (params.M, K):
         raise ValueError(f"micro_states must have shape (M, K) = ({params.M}, {K})")
+    noise = _increments((seed,), params, K, first_macro=macro_index, n_macro=1)
+    ftilde, y = _estimate(np.asarray(x_frozen, float)[None], states[None], noise,
+                          params, coeffs, op_b)
+    return ftilde[0], y[0]
+
+
+def _increments(
+    seeds: Sequence[int], params: HmmParams, K: int, first_macro: int, n_macro: int
+) -> Iterator[np.ndarray]:
+    """Yield the (S, M, K) noise increments of ``n_macro`` macro blocks.
+
+    Opens one stream per (seed, replica j) at macro step ``first_macro`` and
+    reads it forward: the i-th step yielded is micro step i % m0 of macro
+    step first_macro + i // m0.  Chunks of max(1, _CHUNK_STEPS // (S M))
+    steps, and at most one macro block, are converted into one buffer
+    allocated here; each yielded step is a view that the next chunk
+    overwrites.  The cap at m0 keeps the buffer in cache and the peak
+    memory near that of one macro block when S M is small.
+    """
+    S, M, m0 = len(seeds), params.M, params.m_0
+    streams = NoiseStreams(
+        [derive_key(s, first_macro, 0, j, steps_per_macro=m0)
+         for s in seeds for j in range(1, M + 1)],
+        K,
+    )
+    total = n_macro * m0
+    chunk = min(max(1, _CHUNK_STEPS // (S * M)), m0)
+    buf = np.empty((chunk, S, M, K))
+    done = 0
+    while done < total:
+        n = min(chunk, total - done)
+        draw_increments(streams, params.tau, K, n, out=buf[:n].reshape(n, S * M, K))
+        yield from buf[:n]
+        done += n
+
+
+def _estimate(
+    X: np.ndarray,
+    Y: np.ndarray,
+    noise: Iterator[np.ndarray],
+    params: HmmParams,
+    coeffs: CoefficientSpec,
+    op_b: OperatorSpec,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One macro block for (S, K) frozen slow fields and (S, M, K) replicas.
+
+    Takes m0 steps from ``noise`` and returns (Ftilde as (S, K), states).
+    """
+    K = X.shape[-1]
     tau = params.tau
-    m0 = params.m_0
-
-    incr = np.empty((params.M, m0, K))
-    audit_blocks = set() if audit else None
-    for j in range(1, params.M + 1):
-        key = derive_key(seed, macro_index, 0, j, steps_per_macro=m0)
-        if audit:
-            if key.macro_step != macro_index:
-                raise AssertionError("estimator drew a key outside its macro step")
-            for m in range(m0):
-                block = (key.replica, key.position() + m)
-                if block in audit_blocks:
-                    raise AssertionError(f"noise block collision at {block}")
-                audit_blocks.add(block)
-        incr[j - 1] = draw_increments(key, tau, K, m0)
-
     xi = grid_points(K)
-    x_grid = to_grid(x_frozen)
+    x_grid = to_grid(X)[:, None, :]
     res = 1.0 / (1.0 + tau * op_b.eigenvalues)
-    f_sum = np.zeros(K)
-    y = states
-    for m in range(1, m0 + 1):
-        y = step_replicas(y, x_grid, xi, incr[:, m - 1, :], res, tau, coeffs)
+    f_sum = np.zeros(X.shape)
+    for m in range(1, params.m_0 + 1):
+        Y = step_replicas(Y, x_grid, xi, next(noise), res, tau, coeffs)
         if m >= params.n_T:
-            f_sum += coeffs.f(xi, x_grid, to_grid(y)).sum(axis=0)
-    ftilde = to_spectral(f_sum / (params.M * params.N))
-    return ftilde, y
+            f_sum += coeffs.f(xi, x_grid, to_grid(Y)).sum(axis=1)
+    return to_spectral(f_sum / (params.M * params.N)), Y
 
 
 def macro_step(state: HmmState, params: HmmParams, ftilde: np.ndarray, op_a: OperatorSpec) -> HmmState:
@@ -216,13 +275,17 @@ def run_hmm(
     op_a: OperatorSpec,
     op_b: OperatorSpec,
     params: HmmParams,
-    seed: int,
-    audit: bool = False,
+    seed: int | Sequence[int],
 ) -> HmmRun:
     """Full multiscale run from (x0, y0) to time n_0 * dt.
 
-    ``y0`` may be a single field (shared by all replicas) or an (M, K) array
-    of per-replica initial fast fields.  Deterministic in ``seed``.
+    ``seed`` is an int or a sequence of S seeds; a sequence advances S
+    copies from the same (K,) initial slow field ``x0`` in lock step, and
+    copy s equals the single-seed run with that seed bit for bit.  ``y0``
+    may be a single field (shared by all replicas), an (M, K) array of
+    per-replica initial fast fields, or with a seed sequence an (S, M, K)
+    array of per-seed ones.  A non-finite slow field or replica state
+    raises ValueError naming the seeds, the macro step and the replicas.
     """
     _validate_dissipativity(coeffs, op_b)
     if params.n_0 < 1:
@@ -230,47 +293,62 @@ def run_hmm(
             f"macro step {params.macro_dt} exceeds the horizon T={params.T}; "
             "no steps to take"
         )
+    single = isinstance(seed, numbers.Integral)
+    seeds = (seed,) if single else tuple(seed)
+    if not seeds:
+        raise ValueError("seed sequence is empty")
     K = x0.shape[-1]
     if op_a.mode_count != K or op_b.mode_count != K:
         raise ValueError("operator mode counts must match the fields")
+    S, M = len(seeds), params.M
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim == 1:
-        states = np.tile(y0, (params.M, 1))
-    else:
-        if y0.shape != (params.M, K):
-            raise ValueError(f"per-replica y0 must have shape ({params.M}, {K})")
-        states = y0.copy()
+    shapes = [(K,), (M, K)] if single else [(K,), (M, K), (S, M, K)]
+    if y0.shape not in shapes:
+        raise ValueError(f"y0 must have one of the shapes {shapes}, got {y0.shape}")
+    Y = np.empty((S, M, K))
+    Y[:] = y0
+    X = np.empty((S, K))
+    X[:] = x0
 
     n0 = params.n_0
-    traj = np.empty((n0 + 1, K))
-    traj[0] = x0
-    state = HmmState(X=np.asarray(x0, float), micro_states=states, n=0, cost_counter=0)
+    traj = np.empty((n0 + 1, S, K))
+    traj[0] = X
+    noise = _increments(seeds, params, K, first_macro=0, n_macro=n0)
     for n in range(n0):
-        ftilde, new_states = estimate_ftilde(
-            state.X, state.micro_states, params, seed, n, coeffs, op_b, audit=audit
-        )
-        state = HmmState(
-            X=implicit_euler_step(state.X, ftilde, params.macro_dt, op_a),
-            micro_states=new_states,
-            n=n + 1,
-            cost_counter=state.cost_counter + params.M * params.m_0,
-        )
-        traj[n + 1] = state.X
+        ftilde, Y = _estimate(X, Y, noise, params, coeffs, op_b)
+        X = implicit_euler_step(X, ftilde, params.macro_dt, op_a)
+        _check_finite(X, Y, seeds, n)
+        traj[n + 1] = X
 
     cost = CostReport(
-        total_micro_steps=state.cost_counter,
-        cost_per_unit_time=params.M * params.m_0 / params.macro_dt,
+        total_micro_steps=S * n0 * M * params.m_0,
+        cost_per_unit_time=M * params.m_0 / params.macro_dt,
         n_macro_steps=n0,
-        replicas=params.M,
+        replicas=M,
         micro_steps_per_macro=params.m_0,
     )
+    if single:  # drop the seed axis
+        traj, Y = traj[:, 0], Y[0]
     return HmmRun(
         trajectory=traj,
         cost=cost,
-        final_micro_states=state.micro_states,
+        final_micro_states=Y,
         params=params,
-        seed=seed,
+        seed=seed if single else seeds,
     )
+
+
+def _check_finite(X: np.ndarray, Y: np.ndarray, seeds, n: int) -> None:
+    """Raise if an (S, K) slow field or an (S, M, K) replica state is not finite."""
+    bad_y = ~np.isfinite(Y).all(axis=-1)
+    bad = ~np.isfinite(X).all(axis=-1) | bad_y.any(axis=-1)
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        replicas = np.flatnonzero(bad_y[rows].any(axis=0)).tolist()
+        raise ValueError(
+            f"non-finite state for seed(s) {[seeds[s] for s in rows]} in macro "
+            f"step {n}, replica(s) {replicas}"
+        )
 
 
 def choose_params(

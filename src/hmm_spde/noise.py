@@ -7,19 +7,31 @@ ones, and trajectories are reproducible regardless of evaluation order.
 
 Gaussian sampling is pinned project-wide: each mode takes one raw 64-bit
 Philox word, keeps the top 53 bits, centers to a uniform in (0, 1) and maps
-it through the inverse normal CDF.  Regression files depend on this choice;
-do not swap in a different normal generator.
+it through the inverse normal CDF.  The golden digests in
+``tests/golden_digests.json`` depend on this choice; do not swap in a
+different normal generator.
 
 Within a replica stream the draws are laid out by a global step position.
 When the steps-per-macro count m0 is known the position is n*m0 + m (the
 micro chains of consecutive macro steps read one concatenated noise process);
 otherwise macro and micro indices occupy disjoint bit ranges.  Steps are
 padded to whole 4-word Philox blocks, which makes a batched draw of many
-consecutive steps bit-identical to per-step draws.
+consecutive steps bit-identical to per-step draws, and a stream read forward
+bit-identical to streams opened at the later positions.
+
+:class:`NoiseStreams` is that forward read: it opens one Philox stream per
+key once and hands out the next steps of all of them as one
+(steps, streams, K) array, converted in place in a single buffer.  The
+multiscale driver opens one stream per (seed, replica) at macro step 0 and
+reads it forward for the whole run.  :func:`draw_increments` takes a key
+(a fresh stream at that position) or open streams; both go through the same
+conversion.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +40,7 @@ from scipy.special import ndtri
 __all__ = [
     "NoiseStreamKey",
     "NoiseIncrement",
+    "NoiseStreams",
     "derive_key",
     "draw_increment",
     "draw_increments",
@@ -37,6 +50,7 @@ __all__ = [
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+_CAST_BLOCK = 1 << 14  # numbers per in-place cast: 128 KiB, well inside L2
 
 
 @dataclass(frozen=True)
@@ -115,22 +129,62 @@ def _blocks_per_step(K: int) -> int:
     return (K + 3) // 4
 
 
+class NoiseStreams:
+    """Philox streams opened once at their keys and read forward.
+
+    Each read of ``count`` steps returns the next ``count`` steps of every
+    stream as a (count, len(keys), K) array of standard normals.  Column i
+    of the reads so far, stacked, equals ``standard_normals(keys[i], K,
+    count=total)`` bit for bit, however the reads are split.
+    """
+
+    def __init__(self, keys: Sequence[NoiseStreamKey], K: int):
+        if K < 1:
+            raise ValueError(f"mode count must be >= 1, got {K}")
+        blocks = _blocks_per_step(K)
+        self.K = K
+        self._words = 4 * blocks
+        self._gens = [
+            np.random.Philox(key=_philox_words(key), counter=key.position() * blocks)
+            for key in keys
+        ]
+        if not self._gens:
+            raise ValueError("no stream keys given")
+
+    def standard_normals(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next ``count`` steps of every stream, shape (count, streams, K).
+
+        ``out``, when given, must be a C-contiguous float64 array of that
+        shape; the raw words are converted in place in it and it is returned.
+        """
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        shape = (count, len(self._gens), self.K)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+        raw = out.view(np.uint64)
+        words, K = self._words, self.K
+        for i, bg in enumerate(self._gens):
+            raw[:, i] = bg.random_raw(count * words).reshape(count, words)[:, :K]
+        np.right_shift(raw, _U64(11), out=raw)
+        # numpy copies an input that overlaps the output of a casting ufunc,
+        # so the in-place uint64 -> float64 step runs in cache-sized blocks
+        flat_raw, flat = raw.reshape(-1), out.reshape(-1)
+        for i in range(0, flat.size, _CAST_BLOCK):
+            np.add(flat_raw[i:i + _CAST_BLOCK], 0.5, out=flat[i:i + _CAST_BLOCK])
+        np.multiply(out, 2.0**-53, out=out)
+        return ndtri(out, out=out)
+
+
 def standard_normals(key: NoiseStreamKey, K: int, count: int = 1) -> np.ndarray:
     """Standard-normal blocks for ``count`` consecutive steps from ``key``.
 
     Returns shape (count, K) (or (K,) when count == 1).  Batched and
     step-by-step generation agree bit for bit.
     """
-    if K < 1:
-        raise ValueError(f"mode count must be >= 1, got {K}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    blocks = _blocks_per_step(K)
-    words_per_step = 4 * blocks
-    bg = np.random.Philox(key=_philox_words(key), counter=key.position() * blocks)
-    raw = bg.random_raw(count * words_per_step).reshape(count, words_per_step)[:, :K]
-    u = ((raw >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    z = ndtri(u)
+    z = NoiseStreams([key], K).standard_normals(count)[:, 0]
     return z[0] if count == 1 else z
 
 
@@ -142,15 +196,29 @@ def draw_increment(key: NoiseStreamKey, dt: float, K: int) -> NoiseIncrement:
     return NoiseIncrement(coeffs=np.sqrt(dt) * z, dt=dt)
 
 
-def draw_increments(key: NoiseStreamKey, dt: float, K: int, count: int) -> np.ndarray:
-    """Increments for ``count`` consecutive steps, shape (count, K).
+def draw_increments(
+    source: NoiseStreamKey | NoiseStreams,
+    dt: float,
+    K: int,
+    count: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Increments over ``count`` consecutive steps of length ``dt``.
 
-    Row i equals ``draw_increment(key.advanced(i), dt, K).coeffs`` exactly.
+    With a key: shape (count, K), and row i equals
+    ``draw_increment(key.advanced(i), dt, K).coeffs`` exactly.  With open
+    :class:`NoiseStreams`: the next ``count`` steps of every stream, shape
+    (count, streams, K), written into ``out`` when it is given.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    z = standard_normals(key, K, count=count)
-    return np.sqrt(dt) * z.reshape(count, K)
+    keyed = isinstance(source, NoiseStreamKey)
+    streams = NoiseStreams([source], K) if keyed else source
+    if streams.K != K:
+        raise ValueError(f"streams draw {streams.K} modes, asked for {K}")
+    z = streams.standard_normals(count, out)
+    np.multiply(z, math.sqrt(dt), out=z)
+    return z[:, 0] if keyed else z
 
 
 def mix_seed(master_seed: int, *indices: int) -> int:

@@ -51,6 +51,15 @@ class TestHmmRun:
         with pytest.raises(SystemExit):
             main(["hmm", "run", "--out-dir", str(tmp_path)])
 
+    def test_horizon_not_divided_by_dt_rejected(self, tmp_path):
+        args = ["hmm", "run", "--problem", "p1", "--K", "4", "--ddt", "5e-5",
+                "--epsilon", "1e-3", "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit, match=r"--T 1\.0 .* --dt 0\.3 "):
+            main(args + ["--dt", "0.3", "--T", "1.0"])
+        assert not (tmp_path / "hmm_trajectory.csv").exists()
+        main(args + ["--dt", "0.1", "--T", "0.3"])  # 0.3 / 0.1 is 3 up to rounding
+        assert len(read_csv(tmp_path / "hmm_trajectory.csv")) == 5
+
 
 class TestDirectRun:
     def test_outputs(self, tmp_path):
@@ -63,6 +72,16 @@ class TestDirectRun:
         assert len(rows) == 12  # header + 10 steps + initial state
         cost = json.loads((tmp_path / "direct_cost.json").read_text())
         assert cost["total_steps"] == 10
+
+    def test_horizon_not_divided_by_dt_rejected(self, tmp_path):
+        args = ["direct", "run", "--problem", "p1", "--K", "4", "--epsilon", "0.5",
+                "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit, match=r"--T 1\.0 .* --dt 0\.15 "):
+            main(args + ["--dt", "0.15", "--T", "1.0"])
+        assert not (tmp_path / "direct_trajectory.csv").exists()
+        main(args + ["--dt", "0.1", "--T", "0.7"])  # 0.7 / 0.1 is 7 up to rounding
+        rows = read_csv(tmp_path / "direct_trajectory.csv")
+        assert len(rows) == 9 and float(rows[-1][1]) == pytest.approx(0.7)
 
 
 class TestFbar:

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hmm_spde.averaging import gaussian_nu, make_gaussian_fbar, reference_solution, run_averaged
+from hmm_spde.averaging import (
+    gaussian_nu,
+    gaussian_shifted,
+    make_gaussian_fbar,
+    reference_solution,
+    run_averaged,
+)
 from hmm_spde.coefficients import CoefficientSpec, preset
 from hmm_spde.direct import run_direct
 from hmm_spde.experiments import (
@@ -194,6 +200,31 @@ class TestStrongError:
         with pytest.raises(ValueError):
             strong_error_experiment(sweep="Q")
 
+    def test_rows_equal_per_seed_loop(self):
+        # the batched seeds give the same rows, bit for bit, as one run_hmm
+        # call per seed; at this K and seed an axis-wise norm over the stack
+        # changes the rows, so this also pins the per-seed norm
+        K, T, tau, n_T, n_seeds, seed = 15, 0.2, 1e-3, 5, 3, 11
+        sweep_values = (1, 3)
+        rep = strong_error_experiment(sweep="M", sweep_values=sweep_values, K=K, T=T,
+                                      tau=tau, n_T=n_T, n_seeds=n_seeds, seed=seed)
+        op = laplacian_spec(K)
+        coeffs = preset("p1")
+        fbar = make_gaussian_fbar(coeffs, gaussian_nu(op), quad_order=40)
+        x0 = default_x0(K)
+        for ip, M in enumerate(sweep_values):
+            params = HmmParams(epsilon=1e-6, macro_dt=0.1, micro_dt=1e-6 * tau, T=T,
+                               N=1, M=M, n_T=n_T)
+            xbar = run_averaged(x0, fbar, op, params.macro_dt, params.n_0)[-1]
+            errs = np.empty(n_seeds)
+            for s in range(n_seeds):
+                run_seed = mix_seed(seed, ip, s)
+                y0 = sample_stationary_linear(run_seed, params.tau, op, M)
+                run = run_hmm(x0, y0, coeffs, op, op, params, run_seed)
+                errs[s] = np.linalg.norm(run.X_final - xbar)
+            assert rep.rows[ip].error == errs.mean()
+            assert rep.rows[ip].mc_stderr == errs.std(ddof=1) / math.sqrt(n_seeds)
+
 
 class TestWeakError:
     def test_odd_f_zero_weak_error(self):
@@ -230,6 +261,33 @@ class TestWeakError:
         rep = weak_error_experiment(sweep="n_T", sweep_values=(2, 5), K=7,
                                     n_seeds=4, seed=1, tau=0.02, T=0.2)
         assert rep.sweep_variable == "n_T"
+
+    def test_rows_equal_per_seed_loop(self):
+        # the batched seeds give the same rows, bit for bit, as one run_hmm
+        # call per seed
+        K, T, warmup_time, n_seeds, seed = 15, 0.2, 0.2, 3, 7
+        sweep_values = (0.04, 0.02)
+        rep = weak_error_experiment(sweep_values=sweep_values, K=K, T=T,
+                                    warmup_time=warmup_time, n_seeds=n_seeds, seed=seed)
+        op = laplacian_spec(K)
+        coeffs = preset("p3")
+        fbar = make_gaussian_fbar(coeffs, gaussian_shifted(op, coeffs.lipschitz_g_y),
+                                  quad_order=40)
+        x0 = default_x0(K)
+        h = np.zeros(K)
+        h[0] = 1.0
+        phi = TestFunctional(kind="cos_inner", h=h)
+        for ip, tau in enumerate(sweep_values):
+            params = HmmParams(epsilon=1e-6, macro_dt=0.1, micro_dt=1e-6 * tau, T=T,
+                               N=1, M=1, n_T=max(1, int(round(warmup_time / tau))))
+            phi_bar = phi(run_averaged(x0, fbar, op, params.macro_dt, params.n_0)[-1])
+            vals = np.empty(n_seeds)
+            for s in range(n_seeds):
+                run = run_hmm(x0, np.zeros(K), coeffs, op, op, params,
+                              mix_seed(seed, ip, s))
+                vals[s] = phi(run.X_final)
+            assert rep.rows[ip].error == abs(vals.mean() - phi_bar)
+            assert rep.rows[ip].mc_stderr == vals.std(ddof=1) / math.sqrt(n_seeds)
 
 
 class TestAveraging:

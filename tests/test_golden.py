@@ -1,0 +1,136 @@
+"""Golden SHA-256 digests of seeded results.
+
+The reproducibility contract says one seed and config give one result bit
+for bit.  Same-process reruns cannot catch a change that moves every run the
+same way, so ``golden_digests.json`` records the digests of a few fixed
+(seed, config) results together with the Python, numpy and scipy versions
+they were recorded with.  ``ndtri`` and the DST-I kernel may round
+differently in other releases, so the check skips when numpy or scipy
+differ from the record in major.minor.
+
+To re-record after a deliberate change of results::
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
+"""
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from hmm_spde.coefficients import preset
+from hmm_spde.direct import run_direct
+from hmm_spde.experiments import (
+    default_x0,
+    sample_stationary_linear,
+    strong_error_experiment,
+    weak_error_experiment,
+)
+from hmm_spde.hmm import HmmParams, run_hmm
+from hmm_spde.noise import derive_key, standard_normals
+from hmm_spde.spectral import laplacian_spec
+
+RECORD = Path(__file__).with_name("golden_digests.json")
+K = 15
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _report_digest(report) -> str:
+    rows = [[r.value, r.error, r.mc_stderr, r.n_samples] for r in report.rows]
+    fit = [report.slope, report.ci_low, report.ci_high, report.n_rows_used]
+    return _digest(np.array(rows), np.array(fit))
+
+
+def _standard_normals():
+    return _digest(
+        standard_normals(derive_key(2024, 3, 1, 5, steps_per_macro=4), 63, count=16),
+        standard_normals(derive_key(2**40 + 1, 1, 7, 2), 15, count=3),
+        standard_normals(derive_key(9, 0, 0, 1, stream_tag=2), 5),
+    )
+
+
+def _run_hmm(problem):
+    op = laplacian_spec(K)
+    params = HmmParams(epsilon=1e-3, macro_dt=0.1, micro_dt=1e-3 * 0.05, T=0.3,
+                       N=2, M=3, n_T=4)
+    # p1 starts its replicas from the stationary law, the others at zero
+    y0 = (sample_stationary_linear(31, params.tau, op, params.M) if problem == "p1"
+          else np.zeros(K))
+    run = run_hmm(default_x0(K), y0, preset(problem), op, op, params, seed=17)
+    return _digest(run.trajectory, run.final_micro_states)
+
+
+def _run_direct():
+    op = laplacian_spec(K)
+    run = run_direct(default_x0(K), np.zeros(K), preset("p2"), op, op,
+                     epsilon=0.1, dt=0.005, T=0.1, seed=23)
+    return _digest(run.trajectory_X, run.final_Y)
+
+
+def _strong_error_experiment():
+    return _report_digest(strong_error_experiment(
+        sweep="M", sweep_values=(1, 2, 4), K=K, T=0.2, n_T=10, n_seeds=4, seed=5))
+
+
+def _weak_error_experiment():
+    return _report_digest(weak_error_experiment(
+        sweep_values=(0.04, 0.02, 0.01), K=7, T=0.2, warmup_time=0.2, n_seeds=4,
+        seed=6))
+
+
+CASES = {
+    "standard_normals": _standard_normals,
+    "run_hmm_p1": lambda: _run_hmm("p1"),
+    "run_hmm_p2": lambda: _run_hmm("p2"),
+    "run_hmm_p3": lambda: _run_hmm("p3"),
+    "run_direct": _run_direct,
+    "strong_error_experiment": _strong_error_experiment,
+    "weak_error_experiment": _weak_error_experiment,
+}
+
+
+def _versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def _major_minor(version: str) -> tuple[str, ...]:
+    return tuple(version.split(".")[:2])
+
+
+def _record() -> dict:
+    return json.loads(RECORD.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest(name):
+    record = _record()
+    for lib, now in (("numpy", np.__version__), ("scipy", scipy.__version__)):
+        if _major_minor(now) != _major_minor(record["versions"][lib]):
+            pytest.skip(f"digests were recorded with {lib} {record['versions'][lib]}, "
+                        f"this is {lib} {now}: rounding may differ")
+    assert CASES[name]() == record["digests"][name]
+
+
+def test_record_covers_every_case():
+    assert sorted(_record()["digests"]) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    payload = {"versions": _versions(),
+               "digests": {name: CASES[name]() for name in sorted(CASES)}}
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")

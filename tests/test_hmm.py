@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hmm_spde.hmm as hmm_mod
 from hmm_spde.coefficients import CoefficientSpec, preset
 from hmm_spde.hmm import (
     CostReport,
@@ -18,8 +21,8 @@ from hmm_spde.micro import discrete_stationary_variances
 from hmm_spde.averaging import run_averaged
 from hmm_spde.coefficients import eval_F
 from hmm_spde.experiments import default_x0, sample_stationary_linear
-from hmm_spde.noise import mix_seed
-from hmm_spde.spectral import h_norm, laplacian_spec
+from hmm_spde.noise import derive_key, draw_increments, mix_seed
+from hmm_spde.spectral import h_norm, implicit_euler_step, laplacian_spec
 
 PI2 = np.pi**2
 P1 = preset("p1")
@@ -308,13 +311,6 @@ class TestRunHmm:
         with pytest.raises(ValueError):
             run_hmm(default_x0(K), y0[:2], P1, op, op, p, seed=1)
 
-    def test_audit_mode_runs(self):
-        K = 4
-        op = laplacian_spec(K)
-        run = run_hmm(default_x0(K), np.zeros(K), P1, op, op, small_params(), seed=0,
-                      audit=True)
-        assert run.cost.total_micro_steps > 0
-
     def test_seed_pair_distance_shrinks_with_replicas(self):
         # trajectories from two seeds differ by the Monte-Carlo fluctuation of
         # the estimator, so the gap contracts roughly 4x from M = 1 to M = 16
@@ -336,6 +332,139 @@ class TestRunHmm:
             gaps[M] = np.mean(d)
         ratio = gaps[1] / gaps[16]
         assert 2.0 <= ratio <= 8.0  # 1/sqrt(M) scaling, wide desk-scale band
+
+
+def nan_g_spec():
+    return CoefficientSpec(
+        name="nan_g", f=lambda xi, x, y: np.cos(y),
+        g=lambda xi, x, y: np.full(np.broadcast_shapes(np.shape(xi), np.shape(y)), np.nan),
+        sup_f=1.0, sup_g=1.0, lipschitz_g_y=0.0,
+    )
+
+
+class TestNoiseLayout:
+    # S M = 6 streams and m0 = 4: _CHUNK_STEPS 1 and 7 give 1-step chunks,
+    # 20 gives 3-step chunks that straddle macro blocks, the default one block
+    @pytest.mark.parametrize("chunk", [1, 7, 20, None])
+    @pytest.mark.parametrize("problem", ["p1", "p2"])
+    def test_macro_step_reads_its_own_blocks(self, monkeypatch, problem, chunk):
+        # every increment that run_hmm hands to micro step m of macro step n
+        # is block (n, m) of replica j's stream, for every seed, however the
+        # streams are read in chunks
+        K = 5
+        op = laplacian_spec(K)
+        p = small_params(M=3, N=3, n_T=2)
+        seeds = [4, 2**40 + 1]
+        if chunk is not None:
+            monkeypatch.setattr(hmm_mod, "_CHUNK_STEPS", chunk)
+        handed = []
+
+        def recording_step(y, x_grid, xi, increment, *rest):
+            handed.append(increment.copy())
+            return step_replicas(y, x_grid, xi, increment, *rest)
+
+        step_replicas = hmm_mod.step_replicas
+        monkeypatch.setattr(hmm_mod, "step_replicas", recording_step)
+        run_hmm(default_x0(K), np.zeros(K), preset(problem), op, op, p, seeds)
+        m0 = p.m_0
+        assert len(handed) == p.n_0 * m0
+        for s, seed in enumerate(seeds):
+            for n in range(p.n_0):
+                for j in range(1, p.M + 1):
+                    key = derive_key(seed, n, 0, j, steps_per_macro=m0)
+                    got = np.stack([handed[n * m0 + m][s, j - 1] for m in range(m0)])
+                    np.testing.assert_array_equal(got, draw_increments(key, p.tau, K, m0))
+
+    def test_estimate_ftilde_chain_equals_run(self):
+        # the one-block wrapper reads the same streams at macro_index n
+        K = 7
+        op = laplacian_spec(K)
+        p = small_params(M=3)
+        coeffs = preset("p2")
+        run = run_hmm(default_x0(K), np.zeros(K), coeffs, op, op, p, seed=8)
+        x, states = default_x0(K), np.zeros((p.M, K))
+        for n in range(p.n_0):
+            ft, states = estimate_ftilde(x, states, p, 8, n, coeffs, op)
+            x = implicit_euler_step(x, ft, p.macro_dt, op)
+            np.testing.assert_array_equal(x, run.trajectory[n + 1])
+        np.testing.assert_array_equal(states, run.final_micro_states)
+
+
+class TestSeedAxis:
+    SEEDS = [3, 2**33 + 7, 3, mix_seed(1, 2)]  # a duplicate and a seed >= 2^33
+
+    @pytest.mark.parametrize("per_seed_y0", [False, True])
+    @pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+    def test_rows_equal_single_seed_runs(self, problem, per_seed_y0):
+        K = 7
+        op = laplacian_spec(K)
+        coeffs = preset(problem)
+        p = small_params(M=3)
+        S = len(self.SEEDS)
+        if per_seed_y0:
+            y0 = np.stack([sample_stationary_linear(mix_seed(5, s), p.tau, op, p.M)
+                           for s in range(S)])
+        else:
+            y0 = 0.1 * np.arange(K)
+        batch = run_hmm(default_x0(K), y0, coeffs, op, op, p, self.SEEDS)
+        assert batch.trajectory.shape == (p.n_0 + 1, S, K)
+        assert batch.X_final.shape == (S, K)
+        assert batch.final_micro_states.shape == (S, p.M, K)
+        assert batch.cost.total_micro_steps == S * p.n_0 * p.M * p.m_0
+        assert batch.seed == tuple(self.SEEDS)
+        for s, seed in enumerate(self.SEEDS):
+            one = run_hmm(default_x0(K), y0[s] if per_seed_y0 else y0, coeffs, op, op,
+                          p, seed)
+            np.testing.assert_array_equal(batch.trajectory[:, s], one.trajectory)
+            np.testing.assert_array_equal(batch.final_micro_states[s],
+                                          one.final_micro_states)
+
+    def test_per_replica_y0_shared_by_seeds(self):
+        K = 5
+        op = laplacian_spec(K)
+        p = small_params(M=2)
+        y0 = sample_stationary_linear(9, p.tau, op, p.M)
+        batch = run_hmm(default_x0(K), y0, P1, op, op, p, [1, 2])
+        for s, seed in enumerate([1, 2]):
+            one = run_hmm(default_x0(K), y0, P1, op, op, p, seed)
+            np.testing.assert_array_equal(batch.trajectory[:, s], one.trajectory)
+        with pytest.raises(ValueError, match="shapes"):
+            run_hmm(default_x0(K), np.stack([y0]), P1, op, op, p, seed=1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
+        chunk=st.integers(1, 9),
+    )
+    def test_any_seeds_any_chunk_split(self, seeds, chunk):
+        K = 4
+        op = laplacian_spec(K)
+        p = small_params(M=2, N=2, n_T=3)
+        singles = [run_hmm(default_x0(K), np.zeros(K), P1, op, op, p, s) for s in seeds]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hmm_mod, "_CHUNK_STEPS", chunk)
+            batch = run_hmm(default_x0(K), np.zeros(K), P1, op, op, p, seeds)
+        assert batch.cost.total_micro_steps == len(seeds) * p.n_0 * p.M * p.m_0
+        for s, one in enumerate(singles):
+            np.testing.assert_array_equal(batch.trajectory[:, s], one.trajectory)
+            np.testing.assert_array_equal(batch.final_micro_states[s],
+                                          one.final_micro_states)
+
+    def test_empty_seed_sequence_rejected(self):
+        K = 3
+        op = laplacian_spec(K)
+        with pytest.raises(ValueError, match="empty"):
+            run_hmm(default_x0(K), np.zeros(K), P1, op, op, small_params(), seed=[])
+
+    def test_non_finite_state_raises(self):
+        K = 3
+        op = laplacian_spec(K)
+        p = small_params(M=2)
+        with pytest.raises(ValueError, match=r"seed\(s\) \[4\] in macro step 0, "
+                                             r"replica\(s\) \[0, 1\]"):
+            run_hmm(default_x0(K), np.zeros(K), nan_g_spec(), op, op, p, seed=4)
+        with pytest.raises(ValueError, match=r"seed\(s\) \[4, 8\] in macro step 0"):
+            run_hmm(default_x0(K), np.zeros(K), nan_g_spec(), op, op, p, seed=[4, 8])
 
 
 class TestChooseParams:

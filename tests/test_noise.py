@@ -3,6 +3,7 @@ import pytest
 
 from hmm_spde.noise import (
     NoiseStreamKey,
+    NoiseStreams,
     derive_key,
     draw_increment,
     draw_increments,
@@ -34,6 +35,39 @@ class TestDeterminism:
              0.04280044269535404, -0.4349764773971739],
             rtol=0, atol=1e-15,
         )
+
+
+class TestNoiseStreams:
+    @pytest.mark.parametrize("K", [1, 5, 63])
+    def test_forward_reads_equal_keyed_draws(self, K):
+        # streams opened once and read in uneven chunks give each key's
+        # keyed draws bit for bit
+        keys = [derive_key(3, 0, 0, 1, steps_per_macro=4),
+                derive_key(3, 2, 1, 2, steps_per_macro=4),
+                derive_key(2**40, 5, 0, 1, stream_tag=1)]
+        streams = NoiseStreams(keys, K)
+        reads = [streams.standard_normals(n) for n in (3, 1, 4)]
+        got = np.concatenate(reads)
+        assert got.shape == (8, len(keys), K)
+        for i, key in enumerate(keys):
+            np.testing.assert_array_equal(got[:, i], standard_normals(key, K, count=8))
+
+    def test_increments_into_buffer(self):
+        keys = [derive_key(9, 1, 0, j, steps_per_macro=6) for j in (1, 2)]
+        buf = np.empty((6, 2, 7))
+        out = draw_increments(NoiseStreams(keys, 7), 0.25, 7, 6, out=buf)
+        assert out is buf
+        for i, key in enumerate(keys):
+            np.testing.assert_array_equal(buf[:, i], draw_increments(key, 0.25, 7, 6))
+
+    def test_bad_arguments_rejected(self):
+        streams = NoiseStreams([derive_key(1, 0, 0, 1)], 4)
+        with pytest.raises(ValueError, match="out"):
+            streams.standard_normals(2, out=np.empty((2, 1, 5)))
+        with pytest.raises(ValueError, match="modes"):
+            draw_increments(streams, 0.1, 5, 2)
+        with pytest.raises(ValueError, match="no stream keys"):
+            NoiseStreams([], 4)
 
 
 class TestKeyStructure:
