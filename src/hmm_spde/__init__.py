@@ -25,9 +25,7 @@ from .spectral import (
 )
 from .noise import (
     NoiseStreamKey,
-    NoiseIncrement,
     derive_key,
-    draw_increment,
     draw_increments,
     standard_normals,
     mix_seed,
@@ -43,9 +41,7 @@ from .coefficients import (
     PRESET_NAMES,
 )
 from .micro import (
-    MicroState,
     MicroRunResult,
-    micro_step,
     step_replicas,
     contraction_factor,
     stationary_variance_linear,
@@ -60,24 +56,20 @@ from .averaging import (
     pointwise_variance,
     fbar_gaussian,
     fbar_sampled,
-    AveragedState,
-    averaged_step,
     run_averaged,
     reference_solution,
     make_gaussian_fbar,
 )
 from .hmm import (
     HmmParams,
-    HmmState,
     CostReport,
     HmmRun,
     estimate_ftilde,
-    macro_step,
     run_hmm,
     choose_params,
     cost_compare,
 )
-from .direct import DirectState, DirectRun, direct_step, run_direct
+from .direct import DirectRun, run_direct
 from .experiments import (
     TestFunctional,
     SweepRow,

@@ -46,8 +46,6 @@ __all__ = [
     "fbar_gaussian",
     "FbarSampled",
     "fbar_sampled",
-    "AveragedState",
-    "averaged_step",
     "run_averaged",
     "ReferenceSolution",
     "reference_solution",
@@ -197,7 +195,7 @@ def fbar_sampled(
     # warm-up: advance without accumulating
     if warmup > 0:
         res = run_micro(y, x, warmup, key, spec, op_b, tau, warmup=warmup)
-        y = res.state.y
+        y = res.y
     offset = warmup
 
     batch_means = np.empty((batches, K))
@@ -205,7 +203,7 @@ def fbar_sampled(
         res = run_micro(
             y, x, per_batch, key.advanced(offset), spec, op_b, tau, warmup=1
         )
-        y = res.state.y
+        y = res.y
         batch_means[b] = to_grid(res.f_window_mean)
         offset += per_batch
 
@@ -219,27 +217,6 @@ def fbar_sampled(
     )
 
 
-@dataclass(frozen=True)
-class AveragedState:
-    """State of the deterministic averaged scheme."""
-
-    xbar: np.ndarray
-    step_index: int
-    dt: float
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-
-
-def averaged_step(
-    state: AveragedState, fbar: FbarProvider, op_a: OperatorSpec
-) -> AveragedState:
-    """One step of the averaged scheme: xbar' = R_dt (xbar + dt * fbar(xbar))."""
-    x_new = implicit_euler_step(state.xbar, fbar(state.xbar), state.dt, op_a)
-    return AveragedState(xbar=x_new, step_index=state.step_index + 1, dt=state.dt)
-
-
 def run_averaged(
     x0: np.ndarray,
     fbar: FbarProvider,
@@ -247,13 +224,18 @@ def run_averaged(
     dt: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Averaged-scheme trajectory, shape (n_steps + 1, K), row 0 = x0."""
+    """Averaged-scheme trajectory, shape (n_steps + 1, K), row 0 = x0.
+
+    Each step is xbar' = R_dt (xbar + dt * fbar(xbar)).
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     traj = np.empty((n_steps + 1, x0.shape[-1]))
     traj[0] = x0
-    state = AveragedState(xbar=np.asarray(x0, float), step_index=0, dt=dt)
+    xbar = np.asarray(x0, float)
     for n in range(n_steps):
-        state = averaged_step(state, fbar, op_a)
-        traj[n + 1] = state.xbar
+        xbar = implicit_euler_step(xbar, fbar(xbar), dt, op_a)
+        traj[n + 1] = xbar
     return traj
 
 

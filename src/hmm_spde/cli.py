@@ -17,17 +17,19 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .averaging import fbar_gaussian, fbar_sampled, gaussian_nu, gaussian_shifted
+from .averaging import fbar_gaussian, fbar_sampled
 from .coefficients import PRESET_NAMES, preset
 from .direct import run_direct
 from .experiments import (
     AveragingReport,
     RateReport,
+    _oracle_measure,
     averaging_experiment,
     default_x0,
     invariant_law_tau_sweep,
@@ -110,9 +112,13 @@ def _hmm_params_from_args(args) -> HmmParams:
         )
     if args.tol is None:
         raise SystemExit("give either --tol (parameter selection) or explicit --dt/--ddt")
-    return choose_params(
+    params = choose_params(
         args.tol, args.epsilon, args.regime, r=args.r, kappa=args.kappa, T=args.T
     )
+    # run_hmm takes floor(T/dt) macro steps; shrink dt so that they end at T
+    # (a smaller dt only tightens the error)
+    n_0 = math.ceil(params.T / params.macro_dt - 1e-12)
+    return dataclasses.replace(params, macro_dt=params.T / n_0)
 
 
 def _cmd_hmm_run(args) -> None:
@@ -165,15 +171,15 @@ def _cmd_fbar(args) -> None:
     coeffs = preset(args.problem)
     x0 = default_x0(K)
     xi = grid_points(K)
-    if coeffs.has_g and coeffs.name != "p3":
+    try:
+        measure = _oracle_measure(coeffs, op_b)
+    except ValueError:  # no Gaussian invariant law: sample the fast chain
         res = fbar_sampled(
             coeffs, x0, op_b, args.tau, args.window,
             derive_key(args.seed, 0, 0, 1), batches=32,
         )
         values, stderr = res.grid_values, res.grid_stderr
     else:
-        measure = (gaussian_nu(op_b) if not coeffs.has_g
-                   else gaussian_shifted(op_b, coeffs.lipschitz_g_y))
         values = to_grid(fbar_gaussian(coeffs, x0, measure))
         stderr = np.zeros(K)
     path = out_dir / "fbar.csv"

@@ -16,7 +16,8 @@ multiscale driver's micro work does not grow as eps shrinks.
 S independent copies in lock step as (S, K) stacks through the same loop;
 each copy reads its own Philox stream, so copy s equals the single-seed run
 with seed s bit for bit (every stage is a row-wise transform or
-elementwise).  Arrays then gain a seed axis: the slow trajectory is
+elementwise).  A run opens those S streams once and reads them forward
+into one noise buffer.  Arrays then gain a seed axis: the slow trajectory is
 (steps + 1, S, K) and the final fields are (S, K).  ``cost`` sums the
 coupled steps over the seeds, S * ceil(T/dt).  The recorded trajectory
 takes (steps + 1) * S * K * 8 bytes; callers that only read endpoints pass
@@ -34,22 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSpec
-from .micro import _CHUNK_STEPS, step_replicas
-from .noise import NoiseIncrement, derive_key, draw_increments
+from .micro import _CHUNK_STEPS, _check_finite, step_replicas
+from .noise import NoiseStreams, derive_key, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
 
-__all__ = ["DirectState", "DirectRun", "direct_step", "run_direct", "DIRECT_STREAM_TAG"]
+__all__ = ["DirectRun", "run_direct", "DIRECT_STREAM_TAG"]
 
 # keeps direct-solver noise disjoint from multiscale noise under one seed
 DIRECT_STREAM_TAG = 1
-
-
-@dataclass(frozen=True)
-class DirectState:
-    X: np.ndarray
-    Y: np.ndarray
-    t: float
-    steps_taken: int
 
 
 @dataclass(frozen=True)
@@ -68,33 +61,6 @@ class DirectRun:
     cost: int  # coupled steps summed over the seeds: S * ceil(T/dt)
     dt: float
     seed: int | tuple[int, ...]
-
-
-def direct_step(
-    state: DirectState,
-    coeffs: CoefficientSpec,
-    dt: float,
-    epsilon: float,
-    noise: NoiseIncrement,
-    op_a: OperatorSpec,
-    op_b: OperatorSpec,
-) -> DirectState:
-    """One coupled step; ``noise`` must be an increment over dt/epsilon."""
-    if dt <= 0 or epsilon <= 0:
-        raise ValueError("dt and epsilon must be positive")
-    tau = dt / epsilon
-    if abs(noise.dt - tau) > 1e-12 * max(tau, 1.0):
-        raise ValueError(f"noise has dt={noise.dt}, expected dt/epsilon={tau}")
-    K = state.X.shape[-1]
-    xi = grid_points(K)
-    x_grid = to_grid(state.X)
-
-    f_val = to_spectral(coeffs.f(xi, x_grid, to_grid(state.Y)))
-    x_new = implicit_euler_step(state.X, f_val, dt, op_a)
-
-    res = 1.0 / (1.0 + tau * op_b.eigenvalues)
-    y_new = step_replicas(state.Y, x_grid, xi, noise.coeffs, res, tau, coeffs)
-    return DirectState(X=x_new, Y=y_new, t=state.t + dt, steps_taken=state.steps_taken + 1)
 
 
 def run_direct(
@@ -149,15 +115,16 @@ def run_direct(
     if traj is not None:
         traj[0] = X
 
-    keys = [derive_key(s, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG) for s in seeds]
+    streams = NoiseStreams(
+        [derive_key(s, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG) for s in seeds], K
+    )
     # one noise buffer holds about _CHUNK_STEPS * K numbers whatever S is
-    chunk = max(1, _CHUNK_STEPS // S)
+    chunk = min(max(1, _CHUNK_STEPS // S), n_steps)
+    buf = np.empty((chunk, S, K))
     done = 0
     while done < n_steps:
         n_chunk = min(chunk, n_steps - done)
-        incr = np.stack(
-            [draw_increments(key.advanced(done), tau, K, n_chunk) for key in keys], axis=1
-        )
+        incr = draw_increments(streams, tau, K, n_chunk, out=buf[:n_chunk])
         for i in range(n_chunk):
             x_grid = to_grid(X)
             f_val = to_spectral(coeffs.f(xi, x_grid, to_grid(Y)))
@@ -166,7 +133,7 @@ def run_direct(
             X = X_next
             if traj is not None:
                 traj[done + i + 1] = X
-        _check_finite(X, Y, seeds, done + 1, done + n_chunk)
+        _check_finite(seeds, done + 1, done + n_chunk, X, Y)
         done += n_chunk
 
     if single:  # drop the seed axis
@@ -174,13 +141,3 @@ def run_direct(
         X, Y = X[0], Y[0]
     return DirectRun(trajectory_X=traj, final_X=X, final_Y=Y, cost=S * n_steps,
                      dt=dt, seed=seed if single else seeds)
-
-
-def _check_finite(X: np.ndarray, Y: np.ndarray, seeds, first: int, last: int) -> None:
-    """Raise if any (S, K) row of X or Y holds a NaN or an infinity."""
-    ok = np.isfinite(X).all(axis=-1) & np.isfinite(Y).all(axis=-1)
-    if not ok.all():
-        bad = [seeds[s] for s in np.flatnonzero(~ok)]
-        raise ValueError(
-            f"non-finite state for seed(s) {bad} within steps {first}..{last}"
-        )

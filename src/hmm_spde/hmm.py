@@ -58,11 +58,9 @@ from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, t
 
 __all__ = [
     "HmmParams",
-    "HmmState",
     "CostReport",
     "HmmRun",
     "estimate_ftilde",
-    "macro_step",
     "run_hmm",
     "choose_params",
     "cost_compare",
@@ -111,14 +109,6 @@ class HmmParams:
     @property
     def m_0(self) -> int:
         return self.n_T + self.N - 1
-
-
-@dataclass(frozen=True)
-class HmmState:
-    X: np.ndarray
-    micro_states: np.ndarray  # (M, K) carried fast fields
-    n: int
-    cost_counter: int
 
 
 @dataclass(frozen=True)
@@ -237,17 +227,6 @@ def _estimate(
         if m >= params.n_T:
             f_sum += coeffs.f(xi, x_grid, to_grid(Y)).sum(axis=1)
     return to_spectral(f_sum / (params.M * params.N)), Y
-
-
-def macro_step(state: HmmState, params: HmmParams, ftilde: np.ndarray, op_a: OperatorSpec) -> HmmState:
-    """Slow-field update X_{n+1} = S_dt (X_n + dt * Ftilde_n)."""
-    x_new = implicit_euler_step(state.X, ftilde, params.macro_dt, op_a)
-    return HmmState(
-        X=x_new,
-        micro_states=state.micro_states,
-        n=state.n + 1,
-        cost_counter=state.cost_counter,
-    )
 
 
 def _validate_dissipativity(coeffs: CoefficientSpec, op_b: OperatorSpec) -> None:

@@ -12,6 +12,10 @@ operator placement.
 With g = 0 each mode is an AR(1) recursion y_k' = a_k (y_k + sqrt(tau) z),
 a_k = 1/(1 + tau mu_k), whose closed-form laws serve as oracles throughout
 the test suite.
+
+:func:`run_micro` opens one Philox stream at its key and reads it forward in
+chunks of at most ``_CHUNK_STEPS`` steps into one buffer allocated per run,
+so the chain is the same whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSpec
-from .noise import NoiseIncrement, NoiseStreamKey, draw_increments
+from .noise import NoiseStreamKey, NoiseStreams, draw_increments
 from .spectral import OperatorSpec, grid_points, to_grid, to_spectral
 
 __all__ = [
-    "MicroState",
     "MicroRunResult",
-    "micro_step",
     "step_replicas",
     "contraction_factor",
     "stationary_variance_linear",
@@ -37,22 +39,6 @@ __all__ = [
 
 # draw noise for at most this many steps at a time when batching long chains
 _CHUNK_STEPS = 32768
-
-
-@dataclass(frozen=True)
-class MicroState:
-    """Fast-chain state: current y, frozen slow field, step size, step count."""
-
-    y: np.ndarray
-    frozen_x: np.ndarray
-    tau: float
-    step_index: int = 0
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.y.shape[-1] != self.frozen_x.shape[-1]:
-            raise ValueError("y and frozen_x must share the mode count")
 
 
 def step_replicas(
@@ -74,34 +60,6 @@ def step_replicas(
         gval = coeffs.g(xi, x_grid, to_grid(y))
         return resolvent_mult * (y + tau * to_spectral(gval) + increment)
     return resolvent_mult * (y + increment)
-
-
-def micro_step(
-    state: MicroState,
-    noise: NoiseIncrement,
-    coeffs: CoefficientSpec,
-    op_b: OperatorSpec,
-) -> MicroState:
-    """Advance the fast chain by one step of size ``state.tau``.
-
-    ``noise`` must be an increment over dt = tau (i.e. sqrt(tau) times a
-    standard normal block).
-    """
-    K = state.y.shape[-1]
-    if noise.coeffs.shape[-1] != K or op_b.mode_count != K:
-        raise ValueError("mode-count mismatch between state, noise and operator")
-    if abs(noise.dt - state.tau) > 1e-12 * max(state.tau, 1.0):
-        raise ValueError(
-            f"noise increment has dt={noise.dt}, expected the chain step tau={state.tau}"
-        )
-    res = 1.0 / (1.0 + state.tau * op_b.eigenvalues)
-    y_new = step_replicas(
-        state.y, to_grid(state.frozen_x), grid_points(K), noise.coeffs, res,
-        state.tau, coeffs,
-    )
-    return MicroState(
-        y=y_new, frozen_x=state.frozen_x, tau=state.tau, step_index=state.step_index + 1
-    )
 
 
 def contraction_factor(tau: float, lipschitz_g: float, mu: float) -> float:
@@ -147,13 +105,14 @@ def discrete_stationary_variances(tau: float, op_b: OperatorSpec) -> np.ndarray:
 class MicroRunResult:
     """Endpoint and window statistics of a fast-chain run.
 
+    ``y`` is the fast field after the last step.
     ``f_window_mean`` is the spectral average of F(frozen_x, Y_m) over the
     window m = warmup..steps (None when the window is empty).  Mode moments,
     when requested, average the raw and squared mode coefficients over the
     same window.
     """
 
-    state: MicroState
+    y: np.ndarray
     f_window_mean: np.ndarray | None
     window_size: int
     mode_mean: np.ndarray | None = None
@@ -175,7 +134,8 @@ def run_micro(
 
     Noise for step m (0-based) comes from ``key.advanced(m)``, so the run is
     a pure function of the key; batched draws reproduce per-step draws bit
-    for bit.
+    for bit.  A non-finite state raises ValueError naming the key's seed and
+    the range of steps it appeared in.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -195,10 +155,12 @@ def run_micro(
     mode_sq_sum = np.zeros(K) if track_mode_moments else None
     count = 0
 
+    streams = NoiseStreams([key], K)
+    buf = np.empty((min(_CHUNK_STEPS, steps), 1, K))
     done = 0
     while done < steps:
         n_chunk = min(_CHUNK_STEPS, steps - done)
-        z = draw_increments(key.advanced(done), tau, K, n_chunk)
+        z = draw_increments(streams, tau, K, n_chunk, out=buf[:n_chunk])[:, 0]
         for i in range(n_chunk):
             y = step_replicas(y, x_grid, xi, z[i], res, tau, coeffs)
             m = done + i + 1
@@ -208,15 +170,29 @@ def run_micro(
                 if track_mode_moments:
                     mode_sum += y
                     mode_sq_sum += y * y
+        _check_finite((key.master_seed,), done + 1, done + n_chunk, y[None])
         done += n_chunk
 
-    state = MicroState(y=y, frozen_x=np.asarray(frozen_x, float), tau=tau, step_index=steps)
     if count == 0:
-        return MicroRunResult(state=state, f_window_mean=None, window_size=0)
+        return MicroRunResult(y=y, f_window_mean=None, window_size=0)
     return MicroRunResult(
-        state=state,
+        y=y,
         f_window_mean=to_spectral(f_sum / count),
         window_size=count,
         mode_mean=None if mode_sum is None else mode_sum / count,
         mode_second_moment=None if mode_sq_sum is None else mode_sq_sum / count,
     )
+
+
+def _check_finite(seeds, first: int, last: int, *fields: np.ndarray) -> None:
+    """Raise if a row of the (S, K) ``fields`` holds a NaN or an infinity.
+
+    Row s belongs to ``seeds[s]``; the error names those seeds and the steps
+    first..last of the noise chunk the value appeared in.
+    """
+    ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in fields])
+    if not ok.all():
+        bad = [seeds[s] for s in np.flatnonzero(~ok)]
+        raise ValueError(
+            f"non-finite state for seed(s) {bad} within steps {first}..{last}"
+        )

@@ -23,9 +23,10 @@ bit-identical to streams opened at the later positions.
 key once and hands out the next steps of all of them as one
 (steps, streams, K) array, converted in place in a single buffer.  The
 multiscale driver opens one stream per (seed, replica) at macro step 0 and
-reads it forward for the whole run.  :func:`draw_increments` takes a key
-(a fresh stream at that position) or open streams; both go through the same
-conversion.
+reads it forward for the whole run; the fast-chain run and the direct
+solver open theirs (one per key, one per seed) the same way.
+:func:`draw_increments` reads open streams; :func:`standard_normals` is the
+one keyed entry, a fresh stream at the key's position.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from scipy.special import ndtri
 
 __all__ = [
     "NoiseStreamKey",
-    "NoiseIncrement",
     "NoiseStreams",
     "derive_key",
-    "draw_increment",
     "draw_increments",
     "standard_normals",
     "mix_seed",
@@ -89,14 +88,6 @@ class NoiseStreamKey:
     def advanced(self, steps: int) -> "NoiseStreamKey":
         """Key of the block ``steps`` micro steps later in the same stream."""
         return replace(self, micro_step=self.micro_step + steps)
-
-
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One Wiener increment over a step of length dt: K iid N(0, dt) modes."""
-
-    coeffs: np.ndarray
-    dt: float
 
 
 def derive_key(
@@ -188,37 +179,25 @@ def standard_normals(key: NoiseStreamKey, K: int, count: int = 1) -> np.ndarray:
     return z[0] if count == 1 else z
 
 
-def draw_increment(key: NoiseStreamKey, dt: float, K: int) -> NoiseIncrement:
-    """Wiener increment over one step: K iid N(0, dt) mode coefficients."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    z = standard_normals(key, K)
-    return NoiseIncrement(coeffs=np.sqrt(dt) * z, dt=dt)
-
-
 def draw_increments(
-    source: NoiseStreamKey | NoiseStreams,
+    streams: NoiseStreams,
     dt: float,
     K: int,
     count: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Increments over ``count`` consecutive steps of length ``dt``.
+    """Increments over the next ``count`` steps of length ``dt`` of every stream.
 
-    With a key: shape (count, K), and row i equals
-    ``draw_increment(key.advanced(i), dt, K).coeffs`` exactly.  With open
-    :class:`NoiseStreams`: the next ``count`` steps of every stream, shape
-    (count, streams, K), written into ``out`` when it is given.
+    Shape (count, streams, K): sqrt(dt) times the next standard normals of
+    the open ``streams``, written into ``out`` when it is given.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    keyed = isinstance(source, NoiseStreamKey)
-    streams = NoiseStreams([source], K) if keyed else source
     if streams.K != K:
         raise ValueError(f"streams draw {streams.K} modes, asked for {K}")
     z = streams.standard_normals(count, out)
     np.multiply(z, math.sqrt(dt), out=z)
-    return z[:, 0] if keyed else z
+    return z
 
 
 def mix_seed(master_seed: int, *indices: int) -> int:

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from hmm_spde.averaging import (
-    AveragedState,
     InvariantMeasureSpec,
-    averaged_step,
     fbar_gaussian,
     fbar_sampled,
     gaussian_discrete,
@@ -236,10 +234,14 @@ class TestAveragedScheme:
     def test_single_step_halves_first_mode(self):
         K = 2
         op = laplacian_spec(K)
-        state = AveragedState(xbar=np.array([1.0, 0.0]), step_index=0, dt=1 / PI2)
-        out = averaged_step(state, lambda x: np.zeros(K), op)
-        assert out.xbar[0] == pytest.approx(0.5, rel=1e-14)
-        assert out.step_index == 1
+        traj = run_averaged(np.array([1.0, 0.0]), lambda x: np.zeros(K), op, 1 / PI2, 1)
+        assert traj.shape == (2, K)
+        assert traj[1][0] == pytest.approx(0.5, rel=1e-14)
+
+    def test_nonpositive_dt_rejected(self):
+        op = laplacian_spec(2)
+        with pytest.raises(ValueError, match="dt"):
+            run_averaged(np.ones(2), lambda x: np.zeros(2), op, 0.0, 1)
 
     def test_uniform_bound_lipschitz_fbar(self):
         # |xbar_n| <= C (1 + |x0|) uniformly in n for the bounded oracle

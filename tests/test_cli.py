@@ -36,6 +36,19 @@ class TestHmmRun:
         assert cost["direct_cost_ratio"] > 0
         assert cost["macro_dt"] == pytest.approx(0.3)
 
+    def test_tolerance_mode_ends_at_T(self, tmp_path):
+        # tol 0.3 picks dt 0.3; the run shrinks it to 0.25 so that it ends at T
+        main([
+            "hmm", "run", "--problem", "p1", "--K", "4", "--T", "1.0",
+            "--tol", "0.3", "--epsilon", "1e-3", "--out-dir", str(tmp_path),
+        ])
+        rows = read_csv(tmp_path / "hmm_trajectory.csv")
+        cost = json.loads((tmp_path / "hmm_cost.json").read_text())
+        assert float(rows[-1][1]) == 1.0
+        assert cost["T"] == 1.0
+        assert cost["macro_dt"] == 0.25
+        assert [float(r[1]) for r in rows[1:]] == [n * 0.25 for n in range(5)]
+
     def test_seed_reproducibility(self, tmp_path):
         args = [
             "hmm", "run", "--problem", "p2", "--K", "7", "--T", "0.1",
@@ -86,12 +99,15 @@ class TestDirectRun:
 
 class TestFbar:
     def test_quadrature_route(self, tmp_path):
-        main(["fbar", "--problem", "p1", "--K", "15", "--out-dir", str(tmp_path)])
-        rows = read_csv(tmp_path / "fbar.csv")
-        assert rows[0] == ["xi", "fbar_value", "stderr_or_zero"]
-        assert len(rows) == 16
-        stderrs = [float(r[2]) for r in rows[1:]]
-        assert all(s == 0.0 for s in stderrs)  # analytic route reports zero
+        # p1 (g = 0) and p3 (linear g) have a Gaussian invariant law
+        for problem in ("p1", "p3"):
+            out = tmp_path / problem
+            main(["fbar", "--problem", problem, "--K", "15", "--out-dir", str(out)])
+            rows = read_csv(out / "fbar.csv")
+            assert rows[0] == ["xi", "fbar_value", "stderr_or_zero"]
+            assert len(rows) == 16
+            stderrs = [float(r[2]) for r in rows[1:]]
+            assert all(s == 0.0 for s in stderrs)  # analytic route reports zero
 
     def test_sampled_route(self, tmp_path):
         main([

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import hmm_spde.direct as direct_mod
 from hmm_spde.averaging import run_averaged
 from hmm_spde.coefficients import CoefficientSpec, eval_F, preset
-from hmm_spde.direct import DirectState, direct_step, run_direct
+from hmm_spde.direct import DIRECT_STREAM_TAG, run_direct
 from hmm_spde.micro import stationary_variance_linear
 from hmm_spde.experiments import default_x0
-from hmm_spde.noise import NoiseIncrement, mix_seed
+from hmm_spde.noise import derive_key, mix_seed, standard_normals
 from hmm_spde.spectral import laplacian_spec
 
 P1 = preset("p1")
@@ -27,26 +27,20 @@ def zero_spec():
 
 class TestDirectStep:
     def test_double_resolvent_decay(self):
-        # epsilon = 1, F = G = 0, zero noise: both components decay by their
-        # own resolvent factors
+        # epsilon = 1, F = G = 0, one step: both components decay by their
+        # own resolvent factors, Y after adding its noise increment
         K = 4
         op = laplacian_spec(K)
         x = np.array([1.0, 0.5, 0.0, 0.0])
         y = np.array([0.0, 0.0, 2.0, -1.0])
         dt = 0.05
-        s = DirectState(X=x, Y=y, t=0.0, steps_taken=0)
-        out = direct_step(s, zero_spec(), dt, 1.0, NoiseIncrement(np.zeros(K), dt), op, op)
-        np.testing.assert_allclose(out.X, x / (1 + dt * op.eigenvalues), rtol=1e-14)
-        np.testing.assert_allclose(out.Y, y / (1 + dt * op.eigenvalues), rtol=1e-14)
-        assert out.t == pytest.approx(dt)
-        assert out.steps_taken == 1
-
-    def test_noise_dt_checked(self):
-        K = 3
-        op = laplacian_spec(K)
-        s = DirectState(X=np.zeros(K), Y=np.zeros(K), t=0.0, steps_taken=0)
-        with pytest.raises(ValueError):
-            direct_step(s, P1, 0.05, 0.5, NoiseIncrement(np.zeros(K), 0.05), op, op)
+        run = run_direct(x, y, zero_spec(), op, op, epsilon=1.0, dt=dt, T=dt, seed=12)
+        noise = standard_normals(derive_key(12, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG), K)
+        np.testing.assert_allclose(run.final_X, x / (1 + dt * op.eigenvalues), rtol=1e-14)
+        np.testing.assert_allclose(run.final_Y, (y + np.sqrt(dt) * noise)
+                                   / (1 + dt * op.eigenvalues), rtol=1e-14)
+        np.testing.assert_array_equal(run.trajectory_X[-1], run.final_X)
+        assert run.cost == 1
 
 
 class TestRunDirect:

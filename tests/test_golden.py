@@ -23,6 +23,8 @@ import numpy as np
 import pytest
 import scipy
 
+import hmm_spde.micro as micro_mod
+from hmm_spde.averaging import fbar_sampled
 from hmm_spde.coefficients import preset
 from hmm_spde.direct import run_direct
 from hmm_spde.experiments import (
@@ -32,6 +34,7 @@ from hmm_spde.experiments import (
     weak_error_experiment,
 )
 from hmm_spde.hmm import HmmParams, run_hmm
+from hmm_spde.micro import run_micro
 from hmm_spde.noise import derive_key, standard_normals
 from hmm_spde.spectral import laplacian_spec
 
@@ -80,6 +83,25 @@ def _run_direct():
     return _digest(run.trajectory_X, run.final_Y)
 
 
+def _run_micro():
+    # 40 steps in 16-step noise chunks: pins the chunk split as well
+    op = laplacian_spec(K)
+    saved, micro_mod._CHUNK_STEPS = micro_mod._CHUNK_STEPS, 16
+    try:
+        res = run_micro(np.zeros(K), default_x0(K), 40, derive_key(29, 0, 0, 1),
+                        preset("p2"), op, 0.05, warmup=5, track_mode_moments=True)
+    finally:
+        micro_mod._CHUNK_STEPS = saved
+    return _digest(res.y, res.f_window_mean, res.mode_mean,
+                   res.mode_second_moment)
+
+
+def _fbar_sampled():
+    res = fbar_sampled(preset("p2"), default_x0(K), laplacian_spec(K), 0.01, 640,
+                       derive_key(31, 0, 0, 1))
+    return _digest(res.field, res.grid_values, res.grid_stderr)
+
+
 def _strong_error_experiment():
     return _report_digest(strong_error_experiment(
         sweep="M", sweep_values=(1, 2, 4), K=K, T=0.2, n_T=10, n_seeds=4, seed=5))
@@ -97,6 +119,8 @@ CASES = {
     "run_hmm_p2": lambda: _run_hmm("p2"),
     "run_hmm_p3": lambda: _run_hmm("p3"),
     "run_direct": _run_direct,
+    "run_micro": _run_micro,
+    "fbar_sampled": _fbar_sampled,
     "strong_error_experiment": _strong_error_experiment,
     "weak_error_experiment": _weak_error_experiment,
 }

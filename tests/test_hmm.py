@@ -10,18 +10,16 @@ from hmm_spde.coefficients import CoefficientSpec, preset
 from hmm_spde.hmm import (
     CostReport,
     HmmParams,
-    HmmState,
     choose_params,
     cost_compare,
     estimate_ftilde,
-    macro_step,
     run_hmm,
 )
 from hmm_spde.micro import discrete_stationary_variances
 from hmm_spde.averaging import run_averaged
 from hmm_spde.coefficients import eval_F
 from hmm_spde.experiments import default_x0, sample_stationary_linear
-from hmm_spde.noise import derive_key, draw_increments, mix_seed
+from hmm_spde.noise import derive_key, mix_seed, standard_normals
 from hmm_spde.spectral import h_norm, implicit_euler_step, laplacian_spec
 
 PI2 = np.pi**2
@@ -120,7 +118,6 @@ class TestEstimateFtilde:
         # two replicas fed the same noise and states collapse to the M = 1
         # estimator: averaging duplicates must not pretend to reduce variance
         from hmm_spde.micro import step_replicas
-        from hmm_spde.noise import derive_key, draw_increments
         from hmm_spde.spectral import grid_points, to_grid, to_spectral
 
         K = 8
@@ -128,7 +125,7 @@ class TestEstimateFtilde:
         tau = 0.05
         steps = 5
         key = derive_key(3, 0, 0, 1, steps_per_macro=steps)
-        incr = draw_increments(key, tau, K, steps)
+        incr = standard_normals(key, K, count=steps) * np.sqrt(tau)
         xi = grid_points(K)
         x = default_x0(K)
         x_grid = to_grid(x)
@@ -165,23 +162,20 @@ class TestEstimateFtilde:
 
 
 class TestMacroStep:
+    # the slow update X_{n+1} = S_dt (X_n + dt * Ftilde_n) that run_hmm makes
     def test_zero_forcing_resolvent_decay(self):
         K = 4
         op = laplacian_spec(K)
         p = small_params()
-        s = HmmState(X=np.ones(K), micro_states=np.zeros((p.M, K)), n=0, cost_counter=0)
-        out = macro_step(s, p, np.zeros(K), op)
-        np.testing.assert_allclose(out.X, 1 / (1 + p.macro_dt * op.eigenvalues), rtol=1e-14)
-        assert out.n == 1
+        out = implicit_euler_step(np.ones(K), np.zeros(K), p.macro_dt, op)
+        np.testing.assert_allclose(out, 1 / (1 + p.macro_dt * op.eigenvalues), rtol=1e-14)
 
     def test_first_mode_halves(self):
         K = 2
         op = laplacian_spec(K)
         p = small_params(macro_dt=1 / PI2)
-        s = HmmState(X=np.array([1.0, 0.0]), micro_states=np.zeros((p.M, K)), n=0,
-                     cost_counter=0)
-        out = macro_step(s, p, np.zeros(K), op)
-        assert out.X[0] == pytest.approx(0.5, rel=1e-14)
+        out = implicit_euler_step(np.array([1.0, 0.0]), np.zeros(K), p.macro_dt, op)
+        assert out[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_per_step_norm_bound(self):
         # |X_{n+1}| <= (|X_n| + dt sup_f) / (1 + lambda dt) for bounded forcing
@@ -189,15 +183,14 @@ class TestMacroStep:
         op = laplacian_spec(K)
         p = small_params()
         rng = np.random.default_rng(11)
-        s = HmmState(X=rng.standard_normal(K), micro_states=np.zeros((p.M, K)),
-                     n=0, cost_counter=0)
+        X = rng.standard_normal(K)
         for trial in range(10):
             f = rng.standard_normal(K)
             f = f / h_norm(f) * P1.sup_f  # forcing at the norm bound
-            out = macro_step(s, p, f, op)
-            bound = (h_norm(s.X) + p.macro_dt * P1.sup_f) / (1 + PI2 * p.macro_dt)
-            assert h_norm(out.X) <= bound * (1 + 1e-12)
-            s = out
+            out = implicit_euler_step(X, f, p.macro_dt, op)
+            bound = (h_norm(X) + p.macro_dt * P1.sup_f) / (1 + PI2 * p.macro_dt)
+            assert h_norm(out) <= bound * (1 + 1e-12)
+            X = out
 
 
 class TestRunHmm:
@@ -373,7 +366,8 @@ class TestNoiseLayout:
                 for j in range(1, p.M + 1):
                     key = derive_key(seed, n, 0, j, steps_per_macro=m0)
                     got = np.stack([handed[n * m0 + m][s, j - 1] for m in range(m0)])
-                    np.testing.assert_array_equal(got, draw_increments(key, p.tau, K, m0))
+                    want = standard_normals(key, K, count=m0) * np.sqrt(p.tau)
+                    np.testing.assert_array_equal(got, want)
 
     def test_estimate_ftilde_chain_equals_run(self):
         # the one-block wrapper reads the same streams at macro_index n

@@ -1,27 +1,35 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmm_spde.coefficients import preset
+import hmm_spde.micro as micro_mod
+from hmm_spde.coefficients import CoefficientSpec, preset
 from hmm_spde.micro import (
-    MicroState,
     contraction_factor,
     discrete_stationary_variances,
-    micro_step,
     run_micro,
     stationary_variance_linear,
     step_replicas,
 )
-from hmm_spde.noise import NoiseIncrement, derive_key, draw_increment, draw_increments
+from hmm_spde.noise import derive_key, standard_normals
 from hmm_spde.spectral import grid_points, h_norm, laplacian_spec, to_grid
 
 PI2 = np.pi**2
 P1 = preset("p1")
 
 
-def zero_noise(K, tau):
-    return NoiseIncrement(coeffs=np.zeros(K), dt=tau)
+def increments(key, tau, K, steps):
+    return standard_normals(key, K, count=steps) * np.sqrt(tau)
+
+
+def one_step(y, frozen_x, noise, spec, op, tau):
+    """One fast step of the chain through the solvers' shared kernel."""
+    K = y.shape[-1]
+    res = 1.0 / (1.0 + tau * op.eigenvalues)
+    return step_replicas(y, to_grid(frozen_x), grid_points(K), noise, res, tau, spec)
 
 
 class TestMicroStep:
@@ -31,10 +39,8 @@ class TestMicroStep:
         op = laplacian_spec(K)
         y = np.zeros(K)
         y[0] = 1.0
-        state = MicroState(y=y, frozen_x=np.zeros(K), tau=1 / PI2)
-        out = micro_step(state, zero_noise(K, 1 / PI2), P1, op)
-        assert out.y[0] == pytest.approx(0.5, rel=1e-14)
-        assert out.step_index == 1
+        out = one_step(y, np.zeros(K), np.zeros(K), P1, op, 1 / PI2)
+        assert out[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_ar1_structure_per_mode(self):
         # g = 0: y_k' = a_k (y_k + sqrt(tau) z_k) with a_k = 1/(1 + tau mu_k)
@@ -44,23 +50,14 @@ class TestMicroStep:
         rng = np.random.default_rng(5)
         y = rng.standard_normal(K)
         z = rng.standard_normal(K)
-        noise = NoiseIncrement(coeffs=np.sqrt(tau) * z, dt=tau)
-        out = micro_step(MicroState(y=y, frozen_x=np.zeros(K), tau=tau), noise, P1, op)
+        out = one_step(y, np.zeros(K), np.sqrt(tau) * z, P1, op, tau)
         a = 1 / (1 + tau * op.eigenvalues)
-        np.testing.assert_allclose(out.y, a * (y + np.sqrt(tau) * z), rtol=1e-14)
-
-    def test_mismatched_noise_dt_rejected(self):
-        K = 3
-        op = laplacian_spec(K)
-        state = MicroState(y=np.zeros(K), frozen_x=np.zeros(K), tau=0.1)
-        with pytest.raises(ValueError):
-            micro_step(state, zero_noise(K, 0.2), P1, op)
+        np.testing.assert_allclose(out, a * (y + np.sqrt(tau) * z), rtol=1e-14)
 
     def test_mismatched_k_rejected(self):
         op = laplacian_spec(3)
-        state = MicroState(y=np.zeros(3), frozen_x=np.zeros(3), tau=0.1)
         with pytest.raises(ValueError):
-            micro_step(state, zero_noise(4, 0.1), P1, op)
+            run_micro(np.zeros(4), np.zeros(4), 1, derive_key(0, 0, 0, 1), P1, op, 0.1)
 
     def test_pathwise_contraction_single_step(self):
         # same noise, strictly dissipative g: squared distance contracts by rho
@@ -72,11 +69,11 @@ class TestMicroStep:
         rng = np.random.default_rng(6)
         for _ in range(20):
             y1, y2 = rng.standard_normal(K), rng.standard_normal(K)
-            noise = NoiseIncrement(coeffs=np.sqrt(tau) * rng.standard_normal(K), dt=tau)
+            noise = np.sqrt(tau) * rng.standard_normal(K)
             x = rng.standard_normal(K)
-            o1 = micro_step(MicroState(y=y1, frozen_x=x, tau=tau), noise, spec, op)
-            o2 = micro_step(MicroState(y=y2, frozen_x=x, tau=tau), noise, spec, op)
-            lhs = h_norm(o1.y - o2.y) ** 2
+            o1 = one_step(y1, x, noise, spec, op, tau)
+            o2 = one_step(y2, x, noise, spec, op, tau)
+            lhs = h_norm(o1 - o2) ** 2
             rhs = rho * h_norm(y1 - y2) ** 2
             assert lhs <= rhs * (1 + 1e-12)
 
@@ -166,7 +163,7 @@ class TestRunMicro:
         K = 3
         op = laplacian_spec(K)
         res = run_micro(np.ones(K), np.zeros(K), 0, derive_key(0, 0, 0, 1), P1, op, 0.1)
-        np.testing.assert_array_equal(res.state.y, np.ones(K))
+        np.testing.assert_array_equal(res.y, np.ones(K))
         assert res.f_window_mean is None
         assert res.window_size == 0
 
@@ -184,25 +181,57 @@ class TestRunMicro:
         args = (np.zeros(K), np.zeros(K), 50, derive_key(9, 2, 0, 3), P1, op, 0.02)
         a = run_micro(*args)
         b = run_micro(*args)
-        np.testing.assert_array_equal(a.state.y, b.state.y)
+        np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.f_window_mean, b.f_window_mean)
 
     def test_chunked_equals_unchunked(self, monkeypatch):
-        import hmm_spde.micro as micro_mod
-
         K = 4
         op = laplacian_spec(K)
         args = (np.zeros(K), np.zeros(K), 300, derive_key(3, 0, 0, 1), P1, op, 0.05)
         full = run_micro(*args)
         monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", 7)
         chunked = run_micro(*args)
-        np.testing.assert_array_equal(full.state.y, chunked.state.y)
+        np.testing.assert_array_equal(full.y, chunked.y)
+
+    @settings(max_examples=25, deadline=None)
+    @given(chunk=st.integers(1, 9), steps=st.integers(0, 30), warmup=st.integers(1, 12))
+    def test_any_chunk_split(self, chunk, steps, warmup):
+        # g != 0 and mode moments: every output equals the unchunked run
+        K = 5
+        op = laplacian_spec(K)
+        args = (np.full(K, 0.3), np.linspace(-1, 1, K), steps, derive_key(2**40 + 3, 1, 2, 4),
+                preset("p2"), op, 0.05)
+        kw = dict(warmup=warmup, track_mode_moments=True)
+        full = run_micro(*args, **kw)
+        with mock.patch.object(micro_mod, "_CHUNK_STEPS", chunk):
+            chunked = run_micro(*args, **kw)
+        np.testing.assert_array_equal(full.y, chunked.y)
+        assert full.window_size == chunked.window_size
+        for name in ("f_window_mean", "mode_mean", "mode_second_moment"):
+            a, b = getattr(full, name), getattr(chunked, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_state_raises(self, monkeypatch):
+        nan_g = CoefficientSpec(
+            name="nan", f=P1.f,
+            g=lambda xi, x, y: np.full(np.broadcast_shapes(np.shape(xi), np.shape(y)), np.nan),
+            sup_f=P1.sup_f, sup_g=0.0, lipschitz_g_y=0.0,
+        )
+        K = 3
+        op = laplacian_spec(K)
+        args = (np.zeros(K), np.zeros(K), 10, derive_key(4, 0, 0, 1), nan_g, op, 0.1)
+        with pytest.raises(ValueError, match=r"seed\(s\) \[4\] within steps 1\.\.10"):
+            run_micro(*args)
+        # the check runs once per noise chunk
+        monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", 3)
+        with pytest.raises(ValueError, match=r"seed\(s\) \[4\] within steps 1\.\.3"):
+            run_micro(*args)
 
     def test_window_average_of_linear_f_near_zero(self):
         # g = 0, F(x, y) = y: the window average of each mode is centered, with
         # CLT scale sqrt(v_k / window_eff); check mode 1 within 4 sigma
-        from hmm_spde.coefficients import CoefficientSpec
-
         spec_y = CoefficientSpec(
             name="identity", f=lambda xi, x, y: y, g=None,
             sup_f=np.inf, sup_g=0.0, lipschitz_g_y=0.0,
@@ -234,7 +263,7 @@ class TestRunMicro:
         x = rng.standard_normal(K) * 0.5
         key = derive_key(33, 0, 0, 1)
         steps = 300
-        incr = draw_increments(key, tau, K, steps)
+        incr = increments(key, tau, K, steps)
         xi = grid_points(K)
         x_grid = to_grid(x)
         res_mult = 1 / (1 + tau * op.eigenvalues)
@@ -262,7 +291,7 @@ class TestRunMicro:
         x = rng.standard_normal(K) * 0.3
         key = derive_key(44, 0, 0, 1)
         steps = 400
-        incr = draw_increments(key, tau, K, steps)
+        incr = increments(key, tau, K, steps)
         xi = grid_points(K)
         x_grid = to_grid(x)
         res_mult = 1 / (1 + tau * op.eigenvalues)
@@ -283,7 +312,7 @@ class TestRunMicro:
         finals = {1: [], 10: [], 100: []}
         for rep in range(R):
             key = derive_key(1234, 0, 0, rep + 1)
-            incr = draw_increments(key, tau, K, 100)
+            incr = increments(key, tau, K, 100)
             y = np.zeros(K)
             res_mult = 1 / (1 + tau * op.eigenvalues)
             for m in range(1, 101):

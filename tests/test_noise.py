@@ -5,7 +5,6 @@ from hmm_spde.noise import (
     NoiseStreamKey,
     NoiseStreams,
     derive_key,
-    draw_increment,
     draw_increments,
     mix_seed,
     standard_normals,
@@ -15,16 +14,16 @@ from hmm_spde.noise import (
 class TestDeterminism:
     def test_same_key_bit_identical(self):
         key = derive_key(42, 3, 7, 2)
-        a = draw_increment(key, 0.01, 63)
-        b = draw_increment(key, 0.01, 63)
-        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        a = standard_normals(key, 63)
+        b = standard_normals(key, 63)
+        np.testing.assert_array_equal(a, b)
 
     def test_batch_matches_per_step(self):
         key = derive_key(11, 0, 0, 1, steps_per_macro=100)
-        block = draw_increments(key, 0.5, 63, 20)
+        block = draw_increments(NoiseStreams([key], 63), 0.5, 63, 20)[:, 0]
         for m in range(20):
-            single = draw_increment(key.advanced(m), 0.5, 63)
-            np.testing.assert_array_equal(block[m], single.coeffs)
+            single = standard_normals(key.advanced(m), 63) * np.sqrt(0.5)
+            np.testing.assert_array_equal(block[m], single)
 
     def test_golden_values_frozen(self):
         # pins the Philox + 53-bit inverse-CDF pipeline; computed once and frozen
@@ -58,7 +57,7 @@ class TestNoiseStreams:
         out = draw_increments(NoiseStreams(keys, 7), 0.25, 7, 6, out=buf)
         assert out is buf
         for i, key in enumerate(keys):
-            np.testing.assert_array_equal(buf[:, i], draw_increments(key, 0.25, 7, 6))
+            np.testing.assert_array_equal(buf[:, i], standard_normals(key, 7, count=6) * np.sqrt(0.25))
 
     def test_bad_arguments_rejected(self):
         streams = NoiseStreams([derive_key(1, 0, 0, 1)], 4)
@@ -72,9 +71,9 @@ class TestNoiseStreams:
 
 class TestKeyStructure:
     def test_distinct_replicas_distinct_output(self):
-        a = draw_increment(derive_key(0, 0, 0, 1), 1.0, 8)
-        b = draw_increment(derive_key(0, 0, 0, 2), 1.0, 8)
-        assert not np.array_equal(a.coeffs, b.coeffs)
+        a = standard_normals(derive_key(0, 0, 0, 1), 8)
+        b = standard_normals(derive_key(0, 0, 0, 2), 8)
+        assert not np.array_equal(a, b)
 
     def test_concatenated_position(self):
         # with m0 steps per macro block, (n=1, m=0) continues the stream at
@@ -99,10 +98,11 @@ class TestKeyStructure:
             NoiseStreamKey(master_seed=0, replica=1, macro_step=-1, micro_step=0)
 
     def test_dt_positive(self):
+        streams = NoiseStreams([derive_key(0, 0, 0, 1)], 4)
         with pytest.raises(ValueError):
-            draw_increment(derive_key(0, 0, 0, 1), 0.0, 4)
+            draw_increments(streams, 0.0, 4, 1)
         with pytest.raises(ValueError):
-            draw_increment(derive_key(0, 0, 0, 1), -1.0, 4)
+            draw_increments(streams, -1.0, 4, 1)
 
     def test_stream_tag_separates(self):
         a = standard_normals(derive_key(0, 0, 0, 1, stream_tag=0), 8)
@@ -114,14 +114,14 @@ class TestStatistics:
     def test_variance_of_increments(self):
         # 1e5 draws of mode 1 at dt = 0.01: sample variance inside the 4-sigma
         # band [0.0094, 0.0106] for chi^2 sampling error
-        key = derive_key(314, 0, 0, 1)
-        block = draw_increments(key, 0.01, 4, 100_000)
+        streams = NoiseStreams([derive_key(314, 0, 0, 1)], 4)
+        block = draw_increments(streams, 0.01, 4, 100_000)[:, 0]
         var = block[:, 0].var(ddof=1)
         assert 0.0094 <= var <= 0.0106
 
     def test_mean_near_zero(self):
-        key = derive_key(314, 0, 0, 1)
-        block = draw_increments(key, 0.01, 4, 100_000)
+        streams = NoiseStreams([derive_key(314, 0, 0, 1)], 4)
+        block = draw_increments(streams, 0.01, 4, 100_000)[:, 0]
         # 4 sigma band for the mean of N(0, 0.01) over 1e5 draws
         assert abs(block[:, 0].mean()) <= 4 * 0.1 / np.sqrt(100_000)
 
