@@ -4,17 +4,19 @@ Every experiment is a pure function of its configuration and seed: sub-seeds
 are derived with :func:`hmm_spde.noise.mix_seed`, aggregation order is fixed,
 and reports are bit-reproducible.  Slope fits only use sweep points whose
 Monte-Carlo standard error is below a third of the measured error, so noise-
-dominated rows never steer a rate estimate.
+dominated rows never steer a rate estimate.  The fits evaluate
+``scipy.stats.linregress``'s formulas in numpy and take the t quantile from
+``scipy.special``; the package never imports ``scipy.stats``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .averaging import (
     gaussian_discrete,
@@ -112,22 +114,35 @@ def _fit_slope(values, errors, stderrs, log_x: bool):
     Rows with error <= 0 or mc_stderr >= error/3 are excluded.  Returns
     (slope, ci_low, ci_high, used_mask) with a 95% confidence interval
     (nan bounds when fewer than 3 usable rows).
+
+    The slope, its standard error and the t quantile are
+    ``scipy.stats.linregress``'s and ``scipy.stats.t.ppf``'s expressions in
+    their order, so the results equal theirs bit for bit, edge cases
+    included.  Importing ``scipy.stats`` would load scipy.linalg, optimize
+    and spatial and more than double the start-up of every process.
     """
     values = np.asarray(values, float)
     errors = np.asarray(errors, float)
     stderrs = np.asarray(stderrs, float)
     used = (errors > 0) & (stderrs < errors / 3.0)
-    if used.sum() < 2:
+    n = int(used.sum())
+    if n < 2:
         return math.nan, math.nan, math.nan, used
     lx = np.log(values[used]) if log_x else values[used]
     ly = np.log(errors[used])
-    res = stats.linregress(lx, ly)
-    if used.sum() >= 3:
-        t = stats.t.ppf(0.975, used.sum() - 2)
-        ci = (res.slope - t * res.stderr, res.slope + t * res.stderr)
+    if lx.max() == lx.min():
+        raise ValueError("Cannot calculate a linear regression "
+                         "if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat
+    slope = ssxym / ssxm
+    if n < 3:
+        return float(slope), math.nan, math.nan, used
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
     else:
-        ci = (math.nan, math.nan)
-    return float(res.slope), float(ci[0]), float(ci[1]), used
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    half = stdtrit(n - 2, 0.975) * np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
+    return float(slope), float(slope - half), float(slope + half), used
 
 
 def fit_loglog_slope(values, errors, stderrs):
@@ -315,16 +330,16 @@ def strong_error_experiment(
     if stationary_init and coeffs.has_g:
         raise ValueError("stationary_init draws from the g = 0 law; disable it for g != 0")
 
+    # the swept parameter changes neither macro_dt nor n_0: one reference
+    base = HmmParams(epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau, T=T,
+                     N=N, M=M, n_T=n_T)
+    xbar = run_averaged(x0, fbar, op_a, base.macro_dt, base.n_0)[-1]
     errors, stderrs = [], []
     for ip, v in enumerate(sweep_values):
-        kw = dict(epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau, T=T,
-                  N=N, M=M, n_T=n_T)
         if sweep == "tau":
-            kw["micro_dt"] = epsilon * float(v)
+            params = replace(base, micro_dt=epsilon * float(v))
         else:
-            kw[sweep] = int(v)
-        params = HmmParams(**kw)
-        xbar = run_averaged(x0, fbar, op_a, params.macro_dt, params.n_0)[-1]
+            params = replace(base, **{sweep: int(v)})
         seeds = [mix_seed(seed, ip, s) for s in range(n_seeds)]
         if stationary_init:
             y0 = np.stack([sample_stationary_linear(s, params.tau, op_b, params.M)
@@ -459,20 +474,16 @@ def weak_error_experiment(
         h[0] = 1.0
         functional = TestFunctional(kind="cos_inner", h=h)
 
+    # the swept parameter changes neither macro_dt nor n_0: one reference
+    base = HmmParams(epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau, T=T)
+    phi_bar = functional(run_averaged(x0, fbar, op_a, base.macro_dt, base.n_0)[-1])
     errors, stderrs = [], []
     for ip, v in enumerate(sweep_values):
         if sweep == "tau":
-            tau_v = float(v)
-            n_T_v = max(1, int(round(warmup_time / tau_v)))
+            params = replace(base, micro_dt=epsilon * float(v),
+                             n_T=max(1, int(round(warmup_time / float(v)))))
         else:
-            tau_v = tau
-            n_T_v = int(v)
-        params = HmmParams(
-            epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau_v, T=T,
-            N=1, M=1, n_T=n_T_v,
-        )
-        xbar = run_averaged(x0, fbar, op_a, params.macro_dt, params.n_0)[-1]
-        phi_bar = functional(xbar)
+            params = replace(base, n_T=int(v))
         run = run_hmm(x0, np.zeros(K), coeffs, op_a, op_b, params,
                       [mix_seed(seed, ip, s) for s in range(n_seeds)])
         vals = np.empty(n_seeds)

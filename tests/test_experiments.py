@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import stdtrit
 
 from hmm_spde.averaging import (
     gaussian_nu,
@@ -67,6 +71,81 @@ class TestSlopeFits:
             np.array([1.0, 2.0]), np.array([1.0, 0.0]), np.zeros(2)
         )
         assert math.isnan(slope)
+
+
+def _scipy_fit(values, errors, stderrs, log_x):
+    """The fit as scipy.stats computes it: the reference for the package's."""
+    used = (errors > 0) & (stderrs < errors / 3.0)
+    n = int(used.sum())
+    if n < 2:
+        return math.nan, math.nan, math.nan
+    lx = np.log(values[used]) if log_x else values[used]
+    res = stats.linregress(lx, np.log(errors[used]))
+    if n < 3:
+        return res.slope, math.nan, math.nan
+    t = stats.t.ppf(0.975, n - 2)
+    return res.slope, res.slope - t * res.stderr, res.slope + t * res.stderr
+
+
+_X4 = np.array([1.0, 2.0, 4.0, 8.0])
+
+
+@st.composite
+def _fit_rows(draw):
+    n = draw(st.integers(3, 12))
+    values = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n, unique=True))
+    errors = draw(st.lists(st.floats(1e-8, 1e2), min_size=n, max_size=n))
+    # ratios at or above 1/3 drop the row from the fit
+    ratios = draw(st.lists(st.sampled_from([0.0, 0.1, 0.33, 1 / 3, 0.5]),
+                           min_size=n, max_size=n))
+    errors = np.array(errors)
+    return np.array(values), errors, errors * np.array(ratios)
+
+
+class TestSlopeFitParity:
+    """The package fits without scipy.stats; its numbers equal scipy.stats's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_fit_rows(), log_x=st.booleans())
+    # exact power laws: r rounds past +1 and past -1 and is clipped
+    @example(rows=(_X4, 3.0 * _X4, np.zeros(4)), log_x=True)
+    @example(rows=(_X4, 0.3 / _X4, np.zeros(4)), log_x=True)
+    def test_equals_linregress_and_t_ppf(self, rows, log_x):
+        values, errors, stderrs = rows
+        fit = fit_loglog_slope if log_x else fit_semilog_slope
+        try:
+            expected = _scipy_fit(values, errors, stderrs, log_x)
+        except ValueError as exc:  # every usable x maps to one log value
+            with pytest.raises(ValueError, match=str(exc)):
+                fit(values, errors, stderrs)
+            return
+        slope, lo, hi, _ = fit(values, errors, stderrs)
+        np.testing.assert_array_equal([slope, lo, hi], expected)
+
+    def test_t_quantile_equals_t_ppf(self):
+        df = np.arange(1, 500)
+        np.testing.assert_array_equal(stdtrit(df, 0.975), stats.t.ppf(0.975, df))
+
+    def test_identical_x_rejected_like_linregress(self):
+        x, y = np.array([2.0, 2.0, 2.0]), np.array([0.5, 0.3, 0.1])
+        with pytest.raises(ValueError) as ref:
+            stats.linregress(np.log(x), np.log(y))
+        with pytest.raises(ValueError) as ours:
+            fit_loglog_slope(x, y, np.zeros(3))
+        assert str(ours.value) == str(ref.value)
+
+    @pytest.mark.parametrize("level", [0.5, 0.1, 3.0])
+    def test_constant_errors(self, level):
+        slope, lo, hi, used = fit_loglog_slope(
+            np.array([1.0, 2.0, 4.0]), np.full(3, level), np.zeros(3))
+        assert slope == 0.0 and math.isnan(lo) and math.isnan(hi)
+        assert used.all()
+
+    def test_two_rows_nan_ci(self):
+        slope, lo, hi, used = fit_loglog_slope(
+            np.array([1.0, 2.0]), np.array([0.5, 0.3]), np.zeros(2))
+        assert slope == stats.linregress(np.log([1.0, 2.0]), np.log([0.5, 0.3])).slope
+        assert math.isnan(lo) and math.isnan(hi)
 
 
 class TestFunctionals:

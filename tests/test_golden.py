@@ -6,17 +6,25 @@ same way, so ``golden_digests.json`` records the digests of a few fixed
 (seed, config) results together with the Python, numpy and scipy versions
 they were recorded with.  ``ndtri`` and the DST-I kernel may round
 differently in other releases, so the check skips when numpy or scipy
-differ from the record in major.minor.
+differ from the record in major.minor.  The raw Philox words come before
+``ndtri`` and depend on no release's rounding, so their case never skips.
+
+The ``cli_*`` cases pin the files one ``hmm-spde`` call writes: CSV files
+byte for byte, JSON files by content, a rate report's without its
+``runtime_seconds``.
 
 To re-record after a deliberate change of results::
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +32,7 @@ import pytest
 import scipy
 
 import hmm_spde.micro as micro_mod
+from hmm_spde import cli
 from hmm_spde.averaging import fbar_sampled
 from hmm_spde.coefficients import preset
 from hmm_spde.direct import run_direct
@@ -35,7 +44,7 @@ from hmm_spde.experiments import (
 )
 from hmm_spde.hmm import HmmParams, run_hmm
 from hmm_spde.micro import run_micro
-from hmm_spde.noise import derive_key, standard_normals
+from hmm_spde.noise import _blocks_per_step, _philox_words, derive_key, standard_normals
 from hmm_spde.spectral import laplacian_spec
 
 RECORD = Path(__file__).with_name("golden_digests.json")
@@ -63,6 +72,18 @@ def _standard_normals():
         standard_normals(derive_key(2**40 + 1, 1, 7, 2), 15, count=3),
         standard_normals(derive_key(9, 0, 0, 1, stream_tag=2), 5),
     )
+
+
+def _philox_raw_words():
+    # the keys of _standard_normals: m0 layout, 64-bit macro layout, stream tag
+    h = hashlib.sha256()
+    for key, K, count in ((derive_key(2024, 3, 1, 5, steps_per_macro=4), 63, 16),
+                          (derive_key(2**40 + 1, 1, 7, 2), 15, 3),
+                          (derive_key(9, 0, 0, 1, stream_tag=2), 5, 1)):
+        blocks = _blocks_per_step(K)
+        bg = np.random.Philox(key=_philox_words(key), counter=key.position() * blocks)
+        h.update(bg.random_raw(count * 4 * blocks).astype("<u8").tobytes())
+    return h.hexdigest()
 
 
 def _run_hmm(problem):
@@ -113,6 +134,23 @@ def _weak_error_experiment():
         seed=6))
 
 
+def _cli(argv, *files):
+    """Digest of the named files that one CLI call writes."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main([*argv, "--out-dir", tmp])
+        for name in files:
+            data = Path(tmp, name).read_bytes()
+            if name.endswith(".json"):
+                payload = json.loads(data)
+                payload.pop("runtime_seconds", None)  # wall time of the call
+                data = json.dumps(payload, sort_keys=True).encode()
+            h.update(name.encode())
+            h.update(data)
+    return h.hexdigest()
+
+
 CASES = {
     "standard_normals": _standard_normals,
     "run_hmm_p1": lambda: _run_hmm("p1"),
@@ -123,7 +161,25 @@ CASES = {
     "fbar_sampled": _fbar_sampled,
     "strong_error_experiment": _strong_error_experiment,
     "weak_error_experiment": _weak_error_experiment,
+    "philox_raw_words": _philox_raw_words,
+    "cli_hmm_run": lambda: _cli(
+        ["hmm", "run", "--problem", "p2", "--K", str(K), "--T", "0.2", "--dt", "0.05",
+         "--ddt", "5e-5", "--epsilon", "1e-3", "--N", "2", "--M", "4", "--nT", "3",
+         "--seed", "11"], "hmm_trajectory.csv", "hmm_cost.json"),
+    "cli_direct_run": lambda: _cli(
+        ["direct", "run", "--problem", "p2", "--K", str(K), "--T", "0.1",
+         "--epsilon", "0.1", "--dt", "0.005", "--seed", "23"],
+        "direct_trajectory.csv", "direct_cost.json"),
+    "cli_fbar_p1": lambda: _cli(["fbar", "--problem", "p1", "--K", str(K)], "fbar.csv"),
+    "cli_fbar_p2": lambda: _cli(
+        ["fbar", "--problem", "p2", "--K", str(K), "--tau", "0.01", "--window", "640",
+         "--seed", "3"], "fbar.csv"),
+    "cli_rates_invariant_tau": lambda: _cli(
+        ["rates", "--experiment", "invariant_tau"], "invariant_tau.csv",
+        "invariant_tau.json"),
 }
+# no ndtri or DST-I call: the same words on every numpy and scipy release
+VERSION_FREE = {"philox_raw_words"}
 
 
 def _versions() -> dict:
@@ -143,7 +199,7 @@ def _record() -> dict:
 def test_golden_digest(name):
     record = _record()
     for lib, now in (("numpy", np.__version__), ("scipy", scipy.__version__)):
-        if _major_minor(now) != _major_minor(record["versions"][lib]):
+        if name not in VERSION_FREE and _major_minor(now) != _major_minor(record["versions"][lib]):
             pytest.skip(f"digests were recorded with {lib} {record['versions'][lib]}, "
                         f"this is {lib} {now}: rounding may differ")
     assert CASES[name]() == record["digests"][name]
