@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_ORDER = 40
+_SQRT_PI = np.sqrt(np.pi)
 
 FbarProvider = Callable[[np.ndarray], np.ndarray]
 
@@ -124,12 +125,17 @@ def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _quadrature_average(spec, x, xi, sigma, nodes, weights):
-    x_grid = to_grid(x)
-    # y-samples per (grid point, node): sqrt(2) sigma_i t_q
-    y_nodes = np.sqrt(2.0) * sigma[:, None] * nodes[None, :]
-    vals = spec.f(xi[:, None], x_grid[:, None], y_nodes)
-    avg = (vals @ weights) / np.sqrt(np.pi)
+def _quadrature_nodes(measure, K, nodes):
+    """(xi as a column, y-samples sqrt(2) sigma_i t_q per grid point and node)."""
+    xi = grid_points(K)
+    sigma = np.sqrt(pointwise_variance(measure, xi, K=min(K, measure.mode_variances.size)))
+    return xi[:, None], np.sqrt(2.0) * sigma[:, None] * nodes[None, :]
+
+
+def _quadrature_average(spec, x, xi_col, y_nodes, weights):
+    vals = spec.f(xi_col, to_grid(x)[:, None], y_nodes)
+    avg = vals @ weights
+    avg /= _SQRT_PI
     return to_spectral(avg)
 
 
@@ -148,11 +154,9 @@ def fbar_gaussian(
         raise ValueError(
             "quadrature averaging needs a Gaussian measure; use fbar_sampled instead"
         )
-    K = x.shape[-1]
-    xi = grid_points(K)
-    sigma = np.sqrt(pointwise_variance(measure, xi, K=min(K, measure.mode_variances.size)))
     nodes, weights = _hermgauss(quad_order)
-    return _quadrature_average(spec, x, xi, sigma, nodes, weights)
+    return _quadrature_average(spec, x, *_quadrature_nodes(measure, x.shape[-1], nodes),
+                               weights)
 
 
 @dataclass(frozen=True)
@@ -280,9 +284,9 @@ def make_gaussian_fbar(
 ) -> FbarProvider:
     """Bind the quadrature oracle into an fbar provider x -> fbar(x).
 
-    The variance profile and quadrature nodes are fixed per provider, so this
-    is the right entry point for time-stepping loops that call the oracle
-    once per step.
+    The quadrature's y-samples sqrt(2) sigma(xi) t_q depend on K only, so
+    the provider builds them once per K; this is the right entry point for
+    time-stepping loops that call the oracle once per step.
     """
     if not measure.is_gaussian:
         raise ValueError(
@@ -294,12 +298,7 @@ def make_gaussian_fbar(
     def fbar(x: np.ndarray) -> np.ndarray:
         K = x.shape[-1]
         if K not in cache:
-            xi = grid_points(K)
-            sigma = np.sqrt(
-                pointwise_variance(measure, xi, K=min(K, measure.mode_variances.size))
-            )
-            cache[K] = (xi, sigma)
-        xi, sigma = cache[K]
-        return _quadrature_average(spec, x, xi, sigma, nodes, weights)
+            cache[K] = _quadrature_nodes(measure, K, nodes)
+        return _quadrature_average(spec, x, *cache[K], weights)
 
     return fbar

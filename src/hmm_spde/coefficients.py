@@ -46,7 +46,9 @@ class CoefficientSpec:
     side-effect free.  ``g=None`` means a fast reaction that is identically
     zero.  ``potential`` u, when given, must satisfy g = du/dy.
     ``sup_g=inf`` declares an unbounded fast reaction (allowed only when the
-    strict dissipativity route certifies the drift).
+    strict dissipativity route certifies the drift).  ``linear_drift`` c,
+    when given, declares g = -c y exactly: the fast chain's invariant law is
+    then Gaussian and the averaging oracle applies.
     """
 
     name: str
@@ -56,6 +58,7 @@ class CoefficientSpec:
     sup_g: float
     lipschitz_g_y: float
     potential: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    linear_drift: float | None = None
 
     @property
     def has_g(self) -> bool:
@@ -132,8 +135,9 @@ def validate_coefficients(
 ) -> None:
     """Spot-check the declared metadata on a random sample of (xi, x, y).
 
-    Raises ValueError when |f| exceeds sup_f, |g| exceeds sup_g, or the
-    potential's finite-difference y-derivative disagrees with g beyond 1e-6.
+    Raises ValueError when |f| exceeds sup_f, |g| exceeds sup_g, g is not
+    -linear_drift * y when that is declared, or the potential's
+    finite-difference y-derivative disagrees with g beyond 1e-6.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     xi = rng.uniform(0.0, 1.0, n_samples)
@@ -147,6 +151,8 @@ def validate_coefficients(
         gv = np.asarray(spec.g(xi, x, y), dtype=float)
         if np.isfinite(spec.sup_g) and not np.all(np.abs(gv) <= spec.sup_g * (1 + 1e-12)):
             raise ValueError(f"{spec.name}: |g| exceeds declared bound {spec.sup_g}")
+        if spec.linear_drift is not None and not np.allclose(gv, -spec.linear_drift * y):
+            raise ValueError(f"{spec.name}: g is not the declared -{spec.linear_drift} y")
         if spec.potential is not None:
             h = 1e-6
             dud = (spec.potential(xi, x, y + h) - spec.potential(xi, x, y - h)) / (2 * h)
@@ -206,6 +212,7 @@ def _make_p3(c: float = 1.0) -> CoefficientSpec:
         sup_g=np.inf,
         lipschitz_g_y=c,
         potential=potential,
+        linear_drift=c,
     )
 
 

@@ -17,7 +17,9 @@ S independent copies in lock step as (S, K) stacks through the same loop;
 each copy reads its own Philox stream, so copy s equals the single-seed run
 with seed s bit for bit (every stage is a row-wise transform or
 elementwise).  A run opens those S streams once and reads them forward
-into one noise buffer.  Arrays then gain a seed axis: the slow trajectory is
+into one noise buffer.  X and Y live in one (2, S, K) buffer, so one
+``to_grid`` call per coupled step transforms both, and the y grid goes on to
+g.  Arrays then gain a seed axis: the slow trajectory is
 (steps + 1, S, K) and the final fields are (S, K).  ``cost`` sums the
 coupled steps over the seeds, S * ceil(T/dt).  The recorded trajectory
 takes (steps + 1) * S * K * 8 bytes; callers that only read endpoints pass
@@ -107,9 +109,9 @@ def run_direct(
 
     xi = grid_points(K)
     res = 1.0 / (1.0 + tau * op_b.eigenvalues)
-    X = np.empty((S, K))
+    XY = np.empty((2, S, K))  # X and Y, transformed together
+    X, Y = XY
     X[:] = x0
-    Y = np.empty((S, K))
     Y[:] = y0
     traj = np.empty((n_steps + 1, S, K)) if trajectory else None
     if traj is not None:
@@ -126,13 +128,14 @@ def run_direct(
         n_chunk = min(chunk, n_steps - done)
         incr = draw_increments(streams, tau, K, n_chunk, out=buf[:n_chunk])
         for i in range(n_chunk):
-            x_grid = to_grid(X)
-            f_val = to_spectral(coeffs.f(xi, x_grid, to_grid(Y)))
+            grids = to_grid(XY)
+            x_grid, y_grid = grids[0], grids[1]  # faster than unpacking
+            f_val = to_spectral(coeffs.f(xi, x_grid, y_grid))
             X_next = implicit_euler_step(X, f_val, dt, op_a)
-            Y = step_replicas(Y, x_grid, xi, incr[i], res, tau, coeffs)
-            X = X_next
+            Y[:] = step_replicas(Y, x_grid, xi, incr[i], res, tau, coeffs, y_grid)
+            X[:] = X_next
             if traj is not None:
-                traj[done + i + 1] = X
+                traj[done + i + 1] = X_next
         _check_finite(seeds, done + 1, done + n_chunk, X, Y)
         done += n_chunk
 

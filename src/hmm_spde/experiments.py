@@ -285,9 +285,8 @@ def _oracle_measure(coeffs: CoefficientSpec, op_b: OperatorSpec):
     """Gaussian invariant law when one exists for these coefficients."""
     if not coeffs.has_g:
         return gaussian_nu(op_b)
-    if coeffs.name == "p3":
-        # linear drift g = -c y; recover c from the declared Lipschitz constant
-        return gaussian_shifted(op_b, coeffs.lipschitz_g_y)
+    if coeffs.linear_drift is not None:
+        return gaussian_shifted(op_b, coeffs.linear_drift)
     raise ValueError(f"no Gaussian averaging oracle for coefficients {coeffs.name!r}")
 
 

@@ -215,6 +215,7 @@ def _estimate(
     """One macro block for (S, K) frozen slow fields and (S, M, K) replicas.
 
     Takes m0 steps from ``noise`` and returns (Ftilde as (S, K), states).
+    The grid of a window step's states feeds f and the next step's g.
     """
     K = X.shape[-1]
     tau = params.tau
@@ -222,10 +223,12 @@ def _estimate(
     x_grid = to_grid(X)[:, None, :]
     res = 1.0 / (1.0 + tau * op_b.eigenvalues)
     f_sum = np.zeros(X.shape)
+    y_grid = None
     for m in range(1, params.m_0 + 1):
-        Y = step_replicas(Y, x_grid, xi, next(noise), res, tau, coeffs)
+        Y = step_replicas(Y, x_grid, xi, next(noise), res, tau, coeffs, y_grid)
         if m >= params.n_T:
-            f_sum += coeffs.f(xi, x_grid, to_grid(Y)).sum(axis=1)
+            y_grid = to_grid(Y)
+            f_sum += coeffs.f(xi, x_grid, y_grid).sum(axis=1)
     return to_spectral(f_sum / (params.M * params.N)), Y
 
 

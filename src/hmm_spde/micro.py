@@ -15,7 +15,10 @@ the test suite.
 
 :func:`run_micro` opens one Philox stream at its key and reads it forward in
 chunks of at most ``_CHUNK_STEPS`` steps into one buffer allocated per run,
-so the chain is the same whatever the chunk size.
+so the chain is the same whatever the chunk size.  Only the recurrence runs
+step by step: each step's state replaces the increment it used, and the
+window statistics (grid transform, f, mode moments) then run once per chunk
+on blocks of those states, summed in step order.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ __all__ = [
 
 # draw noise for at most this many steps at a time when batching long chains
 _CHUNK_STEPS = 32768
+# window statistics of a chunk run on blocks of about this many numbers
+_WINDOW_BLOCK = 2**16
 
 
 def step_replicas(
@@ -49,17 +54,28 @@ def step_replicas(
     resolvent_mult: np.ndarray,
     tau: float,
     coeffs: CoefficientSpec,
+    y_grid: np.ndarray | None = None,
 ) -> np.ndarray:
     """One fast step applied to a (..., K) stack of fields in lock step.
 
     ``increment`` is the sqrt(tau)-scaled normal block, ``resolvent_mult``
-    the precomputed per-mode factors 1/(1 + tau mu_k).  This is the single
-    code path every fast-chain consumer steps through.
+    the precomputed per-mode factors 1/(1 + tau mu_k), and ``y_grid``, when
+    the caller has it, ``to_grid(y)``.  This is the single code path every
+    fast-chain consumer steps through; it modifies none of its arguments.
     """
     if coeffs.has_g:
-        gval = coeffs.g(xi, x_grid, to_grid(y))
-        return resolvent_mult * (y + tau * to_spectral(gval) + increment)
-    return resolvent_mult * (y + increment)
+        drift = to_spectral(coeffs.g(xi, x_grid, to_grid(y) if y_grid is None else y_grid))
+        drift *= tau
+        y = y + drift
+    out = y + increment
+    out *= resolvent_mult
+    return out
+
+
+def _accumulate(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """acc + rows[0] + rows[1] + ... in row order, as a ``+=`` loop adds them
+    (``np.add.reduce`` sums (n, 1) arrays pairwise)."""
+    return np.add.accumulate(np.concatenate((acc[None], rows)), axis=0)[-1]
 
 
 def contraction_factor(tau: float, lipschitz_g: float, mu: float) -> float:
@@ -153,24 +169,26 @@ def run_micro(
     f_sum = np.zeros(K)
     mode_sum = np.zeros(K) if track_mode_moments else None
     mode_sq_sum = np.zeros(K) if track_mode_moments else None
-    count = 0
+    count = max(0, steps - warmup + 1)  # window m = warmup..steps
 
     streams = NoiseStreams([key], K)
     buf = np.empty((min(_CHUNK_STEPS, steps), 1, K))
+    block = max(1, _WINDOW_BLOCK // K)
     done = 0
     while done < steps:
         n_chunk = min(_CHUNK_STEPS, steps - done)
         z = draw_increments(streams, tau, K, n_chunk, out=buf[:n_chunk])[:, 0]
         for i in range(n_chunk):
             y = step_replicas(y, x_grid, xi, z[i], res, tau, coeffs)
-            m = done + i + 1
-            if m >= warmup:
-                f_sum += coeffs.f(xi, x_grid, to_grid(y))
-                count += 1
-                if track_mode_moments:
-                    mode_sum += y
-                    mode_sq_sum += y * y
+            z[i] = y  # row i now holds the state after step done + i + 1
         _check_finite((key.master_seed,), done + 1, done + n_chunk, y[None])
+        for lo in range(max(0, warmup - done - 1), n_chunk, block):
+            states = z[lo:lo + block]
+            f_val = coeffs.f(xi, x_grid, to_grid(states))
+            f_sum = _accumulate(f_sum, np.broadcast_to(f_val, states.shape))
+            if track_mode_moments:
+                mode_sum = _accumulate(mode_sum, states)
+                mode_sq_sum = _accumulate(mode_sq_sum, states * states)
         done += n_chunk
 
     if count == 0:

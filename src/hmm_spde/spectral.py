@@ -11,9 +11,10 @@ The grid transforms call scipy's pocketfft DST-I kernel directly rather than
 (backend lookup, argument normalisation) cost several times the transform
 itself.  The kernel call is the one ``scipy.fft.dst(x, type=1, axis=-1)``
 makes, so results agree with it bit for bit; ``tests/test_spectral.py``
-asserts this.
+asserts this.  The transforms scale the kernel's fresh output in place, and
+each operator computes ``1 + dt * eigenvalues`` once per step size.
 
-All functions are pure and operate on plain numpy arrays.
+All functions are pure: none modifies its arguments.
 """
 
 from __future__ import annotations
@@ -60,6 +61,18 @@ class OperatorSpec:
         if not (np.diff(eig) > 0).all():
             raise ValueError("eigenvalues must be strictly increasing")
         object.__setattr__(self, "eigenvalues", eig)
+        object.__setattr__(self, "_denominators", {})
+
+    def euler_denominator(self, step: float) -> np.ndarray:
+        """1 + step * eigenvalues, checked and computed once per step size."""
+        den = self._denominators.get(step)
+        if den is None:
+            _check_step(step, "step")
+            if len(self._denominators) >= 64:  # a sweep over many step sizes
+                self._denominators.clear()
+            den = self._denominators[step] = 1.0 + step * self.eigenvalues
+            den.setflags(write=False)
+        return den
 
     @property
     def mode_count(self) -> int:
@@ -90,8 +103,7 @@ def _check_step(step: float, name: str) -> None:
 
 def apply_resolvent(coeffs: np.ndarray, step: float, op: OperatorSpec) -> np.ndarray:
     """Apply (I - step * operator)^{-1}: mode k is scaled by 1/(1 + step * eig_k)."""
-    _check_step(step, "step")
-    return coeffs / (1.0 + step * op.eigenvalues)
+    return coeffs / op.euler_denominator(step)
 
 
 def apply_semigroup(coeffs: np.ndarray, t: float, op: OperatorSpec) -> np.ndarray:
@@ -127,13 +139,17 @@ def to_grid(coeffs: np.ndarray) -> np.ndarray:
     Works on the last axis, so stacked fields of shape (..., K) transform in
     one call.
     """
-    return _dst1(np.asarray(coeffs, dtype=np.float64)) / _SQRT2
+    out = _dst1(np.asarray(coeffs, dtype=np.float64))
+    out /= _SQRT2
+    return out
 
 
 def to_spectral(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_grid`; exact up to roundoff on the matching grid."""
     values = np.asarray(values, dtype=np.float64)
-    return _dst1(values) / (_SQRT2 * (values.shape[-1] + 1))
+    out = _dst1(values)
+    out /= _SQRT2 * (values.shape[-1] + 1)
+    return out
 
 
 def implicit_euler_step(
@@ -143,6 +159,9 @@ def implicit_euler_step(
 
     The linear part is implicit, the forcing explicit.  Both the coarse and
     the averaged schemes must route through this single code path so that a
-    y-independent reaction term makes them agree bitwise.
+    y-independent reaction term makes them agree bitwise.  ``coeffs`` and
+    ``forcing`` broadcast against each other.
     """
-    return apply_resolvent(coeffs + dt * forcing, dt, op)
+    out = coeffs + dt * forcing
+    out /= op.euler_denominator(dt)
+    return out

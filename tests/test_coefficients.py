@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,11 @@ class TestValidation:
             u=lambda xi, x, y: np.cos(y),  # derivative is -sin(y), not sin(y)
         )
         with pytest.raises(ValueError, match="potential"):
+            validate_coefficients(spec)
+
+    def test_wrong_linear_drift_caught(self):
+        spec = replace(preset("p3"), linear_drift=2.0)  # g is -1.0 y
+        with pytest.raises(ValueError, match="declared -2.0 y"):
             validate_coefficients(spec)
 
     def test_unknown_preset(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hmm_spde.coefficients import CoefficientSpec, preset
 from hmm_spde.direct import run_direct
 from hmm_spde.experiments import (
     TestFunctional,
+    _oracle_measure,
     averaging_experiment,
     default_x0,
     fit_loglog_slope,
@@ -437,3 +439,36 @@ class TestStationaryInit:
         emp = draws.var(axis=0, ddof=1)
         # 4 sigma for iid Gaussian variance estimates
         assert np.all(np.abs(emp - v) <= 4 * v * np.sqrt(2 / 40_000))
+
+
+class TestOracleMeasure:
+    """The Gaussian oracle follows the declared ``linear_drift``, not the name."""
+
+    op = laplacian_spec(7)
+
+    def test_presets(self):
+        np.testing.assert_array_equal(
+            _oracle_measure(preset("p1"), self.op).mode_variances,
+            gaussian_nu(self.op).mode_variances)
+        np.testing.assert_array_equal(
+            _oracle_measure(preset("p3", c=2.0), self.op).mode_variances,
+            gaussian_shifted(self.op, 2.0).mode_variances)
+        with pytest.raises(ValueError, match="no Gaussian averaging oracle"):
+            _oracle_measure(preset("p2"), self.op)
+
+    def test_nonlinear_spec_named_p3_gets_no_oracle(self):
+        spec = replace(preset("p2"), name="p3")
+        with pytest.raises(ValueError, match="no Gaussian averaging oracle"):
+            _oracle_measure(spec, self.op)
+
+    def test_linear_drift_under_another_name_gets_the_oracle(self):
+        spec = replace(preset("p3", c=0.5), name="custom", lipschitz_g_y=3.0)
+        np.testing.assert_array_equal(
+            _oracle_measure(spec, self.op).mode_variances,
+            gaussian_shifted(self.op, 0.5).mode_variances)
+
+    def test_linear_drift_survives_replace(self):
+        # the benchmark's traced presets rebuild specs with dataclasses.replace
+        spec = replace(preset("p3", c=1.5), f=preset("p1").f)
+        assert spec.linear_drift == 1.5
+        assert preset("p1").linear_drift is None and preset("p2").linear_drift is None

@@ -37,9 +37,12 @@ from hmm_spde.averaging import fbar_sampled
 from hmm_spde.coefficients import preset
 from hmm_spde.direct import run_direct
 from hmm_spde.experiments import (
+    averaging_experiment,
     default_x0,
+    macro_order_experiment,
     sample_stationary_linear,
     strong_error_experiment,
+    warmup_bias_experiment,
     weak_error_experiment,
 )
 from hmm_spde.hmm import HmmParams, run_hmm
@@ -60,10 +63,14 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _report_digest(report) -> str:
+def _report_arrays(report) -> tuple[np.ndarray, np.ndarray]:
     rows = [[r.value, r.error, r.mc_stderr, r.n_samples] for r in report.rows]
     fit = [report.slope, report.ci_low, report.ci_high, report.n_rows_used]
-    return _digest(np.array(rows), np.array(fit))
+    return np.array(rows), np.array(fit)
+
+
+def _report_digest(report) -> str:
+    return _digest(*_report_arrays(report))
 
 
 def _standard_normals():
@@ -97,20 +104,21 @@ def _run_hmm(problem):
     return _digest(run.trajectory, run.final_micro_states)
 
 
-def _run_direct():
+def _run_direct(problem="p2"):
     op = laplacian_spec(K)
-    run = run_direct(default_x0(K), np.zeros(K), preset("p2"), op, op,
+    run = run_direct(default_x0(K), np.zeros(K), preset(problem), op, op,
                      epsilon=0.1, dt=0.005, T=0.1, seed=23)
     return _digest(run.trajectory_X, run.final_Y)
 
 
-def _run_micro():
-    # 40 steps in 16-step noise chunks: pins the chunk split as well
+def _run_micro(problem="p2", steps=40, warmup=5):
+    # 16-step noise chunks: pins the chunk split as well
     op = laplacian_spec(K)
     saved, micro_mod._CHUNK_STEPS = micro_mod._CHUNK_STEPS, 16
     try:
-        res = run_micro(np.zeros(K), default_x0(K), 40, derive_key(29, 0, 0, 1),
-                        preset("p2"), op, 0.05, warmup=5, track_mode_moments=True)
+        res = run_micro(np.zeros(K), default_x0(K), steps, derive_key(29, 0, 0, 1),
+                        preset(problem), op, 0.05, warmup=warmup,
+                        track_mode_moments=True)
     finally:
         micro_mod._CHUNK_STEPS = saved
     return _digest(res.y, res.f_window_mean, res.mode_mean,
@@ -132,6 +140,23 @@ def _weak_error_experiment():
     return _report_digest(weak_error_experiment(
         sweep_values=(0.04, 0.02, 0.01), K=7, T=0.2, warmup_time=0.2, n_seeds=4,
         seed=6))
+
+
+def _averaging_experiment():
+    rep = averaging_experiment(eps_values=(0.1, 0.05), K=7, T=0.1, tau_direct=0.05,
+                               n_seeds=3, seed=8, reference_fine_dt=0.1 / 16)
+    return _digest(*_report_arrays(rep.strong), *_report_arrays(rep.weak),
+                   np.array([rep.strong.meta["richardson_gap"]]))
+
+
+def _macro_order_experiment():
+    rep = macro_order_experiment(K=7, T=0.2, dt_list=[0.1, 0.05, 0.025], fine_factor=4)
+    return _digest(*_report_arrays(rep), np.array([rep.meta["richardson_gap"]]))
+
+
+def _warmup_bias_experiment():
+    return _report_digest(warmup_bias_experiment(n_T_values=(1, 2, 3), K=7, M=64,
+                                                 seed=9))
 
 
 def _cli(argv, *files):
@@ -157,10 +182,17 @@ CASES = {
     "run_hmm_p2": lambda: _run_hmm("p2"),
     "run_hmm_p3": lambda: _run_hmm("p3"),
     "run_direct": _run_direct,
+    "run_direct_p1": lambda: _run_direct("p1"),
+    "run_direct_p3": lambda: _run_direct("p3"),
     "run_micro": _run_micro,
+    # g = 0 and a warm-up that ends inside the second noise chunk
+    "run_micro_p1": lambda: _run_micro("p1", steps=45, warmup=20),
     "fbar_sampled": _fbar_sampled,
     "strong_error_experiment": _strong_error_experiment,
     "weak_error_experiment": _weak_error_experiment,
+    "averaging_experiment": _averaging_experiment,
+    "macro_order_experiment": _macro_order_experiment,
+    "warmup_bias_experiment": _warmup_bias_experiment,
     "philox_raw_words": _philox_raw_words,
     "cli_hmm_run": lambda: _cli(
         ["hmm", "run", "--problem", "p2", "--K", str(K), "--T", "0.2", "--dt", "0.05",

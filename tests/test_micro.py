@@ -15,7 +15,7 @@ from hmm_spde.micro import (
     step_replicas,
 )
 from hmm_spde.noise import derive_key, standard_normals
-from hmm_spde.spectral import grid_points, h_norm, laplacian_spec, to_grid
+from hmm_spde.spectral import grid_points, h_norm, laplacian_spec, to_grid, to_spectral
 
 PI2 = np.pi**2
 P1 = preset("p1")
@@ -76,6 +76,56 @@ class TestMicroStep:
             lhs = h_norm(o1 - o2) ** 2
             rhs = rho * h_norm(y1 - y2) ** 2
             assert lhs <= rhs * (1 + 1e-12)
+
+
+class TestStepReplicasArguments:
+    """step_replicas works in place on fresh arrays only, and a grid of y
+    handed in by the caller gives the result it would compute itself."""
+
+    @pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 4)])
+    def test_arguments_untouched_and_grid_optional(self, problem, lead):
+        K, tau = 7, 0.05
+        spec = preset(problem)
+        rng = np.random.default_rng(len(lead))
+        op = laplacian_spec(K)
+        # the slow field broadcasts over replicas as in the drivers
+        x_shape = (K,) if len(lead) < 2 else (lead[0], 1, K)
+        args = [rng.standard_normal(lead + (K,)), to_grid(rng.standard_normal(x_shape)),
+                grid_points(K), np.sqrt(tau) * rng.standard_normal(lead + (K,)),
+                1.0 / (1.0 + tau * op.eigenvalues)]
+        y_grid = to_grid(args[0])
+        for a in (*args, y_grid):
+            a.setflags(write=False)  # any write into an argument raises
+        before = [a.copy() for a in (*args, y_grid)]
+        plain = step_replicas(*args, tau, spec)
+        with_grid = step_replicas(*args, tau, spec, y_grid)
+        np.testing.assert_array_equal(with_grid, plain)
+        for a, b in zip((*args, y_grid), before):
+            np.testing.assert_array_equal(a, b)
+        y, x_grid, xi, incr, res = args
+        if spec.has_g:  # the out-of-place expression, operation for operation
+            want = res * (y + tau * to_spectral(spec.g(xi, x_grid, to_grid(y))) + incr)
+        else:
+            want = res * (y + incr)
+        np.testing.assert_array_equal(plain, want)
+
+
+class TestWindowAccumulation:
+    # run_micro sums each chunk's window statistics with _accumulate; it must
+    # add the rows in step order, as the per-step ``acc += row`` loop did
+    @pytest.mark.parametrize("K", [1, 2, 15, 63])
+    def test_equals_sequential_loop(self, K):
+        rng = np.random.default_rng(K)
+        for n in range(1, 41):
+            acc = rng.standard_normal(K) * 1e3
+            # mixed magnitudes make the rounding depend on the order
+            rows = rng.standard_normal((n, K)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+            want = acc.copy()
+            for row in rows:
+                want += row
+            got = micro_mod._accumulate(acc, rows)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestContractionFactor:
@@ -194,10 +244,10 @@ class TestRunMicro:
         np.testing.assert_array_equal(full.y, chunked.y)
 
     @settings(max_examples=25, deadline=None)
-    @given(chunk=st.integers(1, 9), steps=st.integers(0, 30), warmup=st.integers(1, 12))
-    def test_any_chunk_split(self, chunk, steps, warmup):
+    @given(chunk=st.integers(1, 9), steps=st.integers(0, 30), warmup=st.integers(1, 12),
+           K=st.sampled_from([1, 5]))
+    def test_any_chunk_split(self, chunk, steps, warmup, K):
         # g != 0 and mode moments: every output equals the unchunked run
-        K = 5
         op = laplacian_spec(K)
         args = (np.full(K, 0.3), np.linspace(-1, 1, K), steps, derive_key(2**40 + 3, 1, 2, 4),
                 preset("p2"), op, 0.05)
@@ -212,6 +262,22 @@ class TestRunMicro:
             assert (a is None) == (b is None)
             if a is not None:
                 np.testing.assert_array_equal(a, b)
+
+    def test_y_independent_f(self, monkeypatch):
+        # an f that returns one (K,) row for a whole block of states is
+        # summed once per window step, as the per-step loop summed it
+        K = 4
+        op = laplacian_spec(K)
+        spec = CoefficientSpec(name="xonly", f=lambda xi, x, y: np.sin(np.pi * xi) * x,
+                               g=None, sup_f=1.0, sup_g=0.0, lipschitz_g_y=0.0)
+        x = np.linspace(-1, 1, K)
+        monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", 7)
+        res = run_micro(np.zeros(K), x, 30, derive_key(1, 0, 0, 1), spec, op, 0.05, warmup=3)
+        row = spec.f(grid_points(K), to_grid(x), None)
+        acc = np.zeros(K)
+        for _ in range(28):
+            acc += row
+        np.testing.assert_array_equal(res.f_window_mean, to_spectral(acc / 28))
 
     def test_non_finite_state_raises(self, monkeypatch):
         nan_g = CoefficientSpec(

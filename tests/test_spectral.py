@@ -242,3 +242,67 @@ def test_implicit_euler_step_combines_resolvent_and_forcing():
     np.testing.assert_allclose(
         out, (x + dt * f) / (1 + dt * op.eigenvalues), rtol=1e-15
     )
+
+
+class TestArgumentsAndDenominators:
+    """The transforms and the Euler step scale fresh arrays in place; their
+    arguments stay untouched, and each operator's cached denominators are
+    exactly 1 + dt * eigenvalues for that operator and that dt."""
+
+    @staticmethod
+    def _frozen(a):
+        a = np.array(a, copy=True)
+        a.setflags(write=False)  # any write into an argument raises
+        return a
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 3, 7)])
+    def test_arguments_untouched(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = self._frozen(rng.standard_normal(shape))
+        f = self._frozen(rng.standard_normal(shape))
+        op = laplacian_spec(7)
+        eig = op.eigenvalues.copy()
+        x0, f0 = x.copy(), f.copy()
+        for out in (to_grid(x), to_spectral(x), implicit_euler_step(x, f, 0.1, op)):
+            assert out.flags.writeable and not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(f, f0)
+        np.testing.assert_array_equal(op.eigenvalues, eig)
+
+    def test_euler_step_broadcasts_both_ways(self):
+        rng = np.random.default_rng(3)
+        op = laplacian_spec(5)
+        stack, row, dt = rng.standard_normal((3, 5)), rng.standard_normal(5), 0.1
+        for coeffs, forcing in ((stack, row), (row, stack)):
+            out = implicit_euler_step(coeffs, forcing, dt, op)
+            assert out.shape == (3, 5)
+            np.testing.assert_array_equal(
+                out, (coeffs + dt * forcing) / (1.0 + dt * op.eigenvalues))
+
+    def test_negative_dt_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            implicit_euler_step(np.ones(3), np.ones(3), -0.1, laplacian_spec(3))
+
+    def test_denominators_per_operator_and_dt(self):
+        a = laplacian_spec(5)
+        b = OperatorSpec(eigenvalues=2.0 * a.eigenvalues)
+        c = laplacian_spec(5)  # equal eigenvalues, separate cache
+        x, f = np.ones(5), np.full(5, 0.5)
+        for dt in (0.1, 0.2, 0.1, 1e-3, 0.0, 0.2):
+            for op in (a, b, c, a):
+                den = op.euler_denominator(dt)
+                np.testing.assert_array_equal(den, 1.0 + dt * op.eigenvalues)
+                assert not den.flags.writeable
+                np.testing.assert_array_equal(implicit_euler_step(x, f, dt, op),
+                                              (x + dt * f) / (1.0 + dt * op.eigenvalues))
+        assert a.euler_denominator(0.1) is a.euler_denominator(0.1)
+        assert a.euler_denominator(0.1) is not c.euler_denominator(0.1)
+        assert not np.array_equal(a.euler_denominator(0.1), a.euler_denominator(0.2))
+        assert not np.array_equal(a.euler_denominator(0.1), b.euler_denominator(0.1))
+
+    def test_many_step_sizes_stay_exact(self):
+        op = laplacian_spec(4)
+        dts = np.linspace(1e-3, 1.0, 200)
+        for dt in (*dts, *dts[::-1]):
+            np.testing.assert_array_equal(op.euler_denominator(dt),
+                                          1.0 + dt * op.eigenvalues)
