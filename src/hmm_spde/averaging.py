@@ -230,16 +230,15 @@ def run_averaged(
 ) -> np.ndarray:
     """Averaged-scheme trajectory, shape (n_steps + 1, K), row 0 = x0.
 
-    Each step is xbar' = R_dt (xbar + dt * fbar(xbar)).
+    Each step is xbar' = R_dt (xbar + dt * fbar(xbar)), written straight
+    into its row of the trajectory.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     traj = np.empty((n_steps + 1, x0.shape[-1]))
     traj[0] = x0
-    xbar = np.asarray(x0, float)
-    for n in range(n_steps):
-        xbar = implicit_euler_step(xbar, fbar(xbar), dt, op_a)
-        traj[n + 1] = xbar
+    for xbar, xbar_next in zip(traj[:-1], traj[1:]):
+        implicit_euler_step(xbar, fbar(xbar), dt, op_a, out=xbar_next)
     return traj
 
 

@@ -19,11 +19,12 @@ with seed s bit for bit (every stage is a row-wise transform or
 elementwise).  A run opens those S streams once and reads them forward
 into one noise buffer.  X and Y live in one (2, S, K) buffer, so one
 ``to_grid`` call per coupled step transforms both, and the y grid goes on to
-g.  Arrays then gain a seed axis: the slow trajectory is
-(steps + 1, S, K) and the final fields are (S, K).  ``cost`` sums the
-coupled steps over the seeds, S * ceil(T/dt).  The recorded trajectory
-takes (steps + 1) * S * K * 8 bytes; callers that only read endpoints pass
-``trajectory=False``.
+g.  Each step writes its grids, forcing and new X and Y into buffers made
+once per run (``out=``); both updates read the pre-update grids.  Arrays
+then gain a seed axis: the slow trajectory is (steps + 1, S, K) and the
+final fields are (S, K).  ``cost`` sums the coupled steps over the seeds,
+S * ceil(T/dt).  The recorded trajectory takes (steps + 1) * S * K * 8
+bytes; callers that only read endpoints pass ``trajectory=False``.
 """
 
 from __future__ import annotations
@@ -113,6 +114,9 @@ def run_direct(
     X, Y = XY
     X[:] = x0
     Y[:] = y0
+    grids = np.empty((2, S, K))
+    x_grid, y_grid = grids
+    forcing = np.empty((S, K))
     traj = np.empty((n_steps + 1, S, K)) if trajectory else None
     if traj is not None:
         traj[0] = X
@@ -128,14 +132,12 @@ def run_direct(
         n_chunk = min(chunk, n_steps - done)
         incr = draw_increments(streams, tau, K, n_chunk, out=buf[:n_chunk])
         for i in range(n_chunk):
-            grids = to_grid(XY)
-            x_grid, y_grid = grids[0], grids[1]  # faster than unpacking
-            f_val = to_spectral(coeffs.f(xi, x_grid, y_grid))
-            X_next = implicit_euler_step(X, f_val, dt, op_a)
-            Y[:] = step_replicas(Y, x_grid, xi, incr[i], res, tau, coeffs, y_grid)
-            X[:] = X_next
+            to_grid(XY, out=grids)
+            to_spectral(coeffs.f(xi, x_grid, y_grid), out=forcing)
+            implicit_euler_step(X, forcing, dt, op_a, out=X)
+            step_replicas(Y, x_grid, xi, incr[i], res, tau, coeffs, y_grid, out=Y)
             if traj is not None:
-                traj[done + i + 1] = X_next
+                traj[done + i + 1] = X
         _check_finite(seeds, done + 1, done + n_chunk, X, Y)
         done += n_chunk
 

@@ -246,11 +246,14 @@ def macro_order_experiment(
 
     Integrates the averaged equation with the quadrature-oracle coefficient
     over a dyadic dt sweep; the reference uses dt_min/fine_factor and its
-    Richardson gap is reported in the metadata.
+    Richardson gap is reported in the metadata.  Every dt must divide T.
     """
     t0 = time.perf_counter()
     if dt_list is None:
         dt_list = [T / 8, T / 16, T / 32, T / 64, T / 128]
+    for dt in dt_list:
+        if dt <= 0 or abs(round(T / dt) * dt - T) > 1e-9 * T:
+            raise ValueError(f"dt={dt} must be positive and divide T={T}")
     op_a = laplacian_spec(K)
     op_b = laplacian_spec(K)
     coeffs = preset(problem)

@@ -11,10 +11,12 @@ The grid transforms call scipy's pocketfft DST-I kernel directly rather than
 (backend lookup, argument normalisation) cost several times the transform
 itself.  The kernel call is the one ``scipy.fft.dst(x, type=1, axis=-1)``
 makes, so results agree with it bit for bit; ``tests/test_spectral.py``
-asserts this.  The transforms scale the kernel's fresh output in place, and
-each operator computes ``1 + dt * eigenvalues`` once per step size.
+asserts this.  The transforms scale the kernel's output in place, and each
+operator computes ``1 + dt * eigenvalues`` once per step size.
 
-All functions are pure: none modifies its arguments.
+The transforms and :func:`implicit_euler_step` take an optional ``out``
+array as numpy ufuncs do: the result goes there and is returned, and ``out``
+may be an input.  No function modifies its arguments apart from ``out``.
 """
 
 from __future__ import annotations
@@ -40,28 +42,37 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSpec:
     """Diagonal negative-definite operator given by its eigenvalue sequence.
 
     ``eigenvalues[k-1]`` is the eigenvalue of -(operator) on mode k, so the
     operator acts as multiplication by ``-eigenvalues[k-1]``.  The sequence
-    must be strictly increasing and positive.
+    must be strictly increasing and positive.  The spec keeps a read-only
+    copy, so its cached denominators cannot go stale, and compares by value.
     """
 
     eigenvalues: np.ndarray
     basis_kind: str = "dirichlet_sine"
 
     def __post_init__(self):
-        eig = np.asarray(self.eigenvalues, dtype=float)
+        eig = np.array(self.eigenvalues, dtype=float)
         if eig.ndim != 1 or eig.size == 0:
             raise ValueError("eigenvalues must be a non-empty 1-d array")
         if not (eig > 0).all():
             raise ValueError("eigenvalues must be positive")
         if not (np.diff(eig) > 0).all():
             raise ValueError("eigenvalues must be strictly increasing")
+        eig.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "_denominators", {})
+
+    def __eq__(self, other):
+        return (isinstance(other, OperatorSpec) and self.basis_kind == other.basis_kind
+                and np.array_equal(self.eigenvalues, other.eigenvalues))
+
+    def __hash__(self):
+        return hash((self.basis_kind, self.eigenvalues.tobytes()))
 
     def euler_denominator(self, step: float) -> np.ndarray:
         """1 + step * eigenvalues, checked and computed once per step size."""
@@ -128,40 +139,48 @@ def h_norm(coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(coeffs))
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
+def _dst1(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """Unnormalised DST-I along the last axis, single-threaded."""
-    return _pocketfft_dst(x, 1, (-1,), 0, None, 1)
+    if out is not None and out.shape != x.shape:
+        # the kernel writes past an ``out`` of another shape: broadcast into
+        # it as a ufunc would, which raises when the shapes do not fit
+        np.copyto(out, x)
+        x = out
+    return _pocketfft_dst(x, 1, (-1,), 0, out, 1)
 
 
-def to_grid(coeffs: np.ndarray) -> np.ndarray:
+def to_grid(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a coefficient vector on the collocation grid.
 
     Works on the last axis, so stacked fields of shape (..., K) transform in
     one call.
     """
-    out = _dst1(np.asarray(coeffs, dtype=np.float64))
+    out = _dst1(np.asarray(coeffs, dtype=np.float64), out)
     out /= _SQRT2
     return out
 
 
-def to_spectral(values: np.ndarray) -> np.ndarray:
+def to_spectral(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of :func:`to_grid`; exact up to roundoff on the matching grid."""
     values = np.asarray(values, dtype=np.float64)
-    out = _dst1(values)
+    out = _dst1(values, out)
     out /= _SQRT2 * (values.shape[-1] + 1)
     return out
 
 
 def implicit_euler_step(
-    coeffs: np.ndarray, forcing: np.ndarray, dt: float, op: OperatorSpec
+    coeffs: np.ndarray, forcing: np.ndarray, dt: float, op: OperatorSpec,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One semi-implicit Euler step: (I - dt*op)^{-1} (x + dt * forcing).
 
     The linear part is implicit, the forcing explicit.  Both the coarse and
     the averaged schemes must route through this single code path so that a
     y-independent reaction term makes them agree bitwise.  ``coeffs`` and
-    ``forcing`` broadcast against each other.
+    ``forcing`` broadcast against each other.  ``out`` may be either input,
+    since ``dt * forcing`` is formed first.
     """
-    out = coeffs + dt * forcing
-    out /= op.euler_denominator(dt)
+    den = op.euler_denominator(dt)
+    out = np.add(coeffs, dt * forcing, out=out)
+    out /= den
     return out

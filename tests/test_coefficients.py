@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hmm_spde.coefficients as coefficients_mod
 from hmm_spde.coefficients import (
+    PRESET_NAMES,
     CoefficientSpec,
     check_strict_dissipativity,
     check_weak_dissipativity,
@@ -170,3 +172,41 @@ class TestValidation:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("p9")
+
+
+class TestSlowReaction:
+    """The presets share one f; its sin(pi xi) factor is cached by the grid's
+    content, so it always equals the uncached factor."""
+
+    def test_presets_share_one_f(self):
+        fs = {preset(name).f for name in PRESET_NAMES}
+        assert fs == {coefficients_mod._slow_reaction}
+
+    def test_matches_expression(self):
+        rng = np.random.default_rng(3)
+        xi, x, y = rng.uniform(-2, 2, (3, 4, 15))
+        np.testing.assert_array_equal(
+            preset("p2").f(xi, x, y), np.cos(y) * np.sin(np.pi * xi) * np.exp(-np.square(x)))
+
+    @staticmethod
+    def _factor(xi):
+        # cos(0) = exp(-0) = 1: f(xi, 0, 0) is the cached factor, bit for bit
+        return coefficients_mod._slow_reaction(xi, 0.0, 0.0)
+
+    @pytest.mark.parametrize("shape", [(15,), (15, 1), (1000,)])
+    def test_cached_factor_matches_sin(self, shape):
+        xi = np.random.default_rng(shape[0]).uniform(0, 1, shape)
+        for _ in range(2):  # computed, then from the cache
+            factor = self._factor(xi)
+            np.testing.assert_array_equal(factor, np.sin(np.pi * xi))
+            assert factor.shape == xi.shape
+        cached = coefficients_mod._sin_pi(xi.dtype, xi.shape, xi.tobytes())
+        assert not cached.flags.writeable
+
+    def test_changed_grid_gets_fresh_factor(self):
+        xi = np.linspace(0.1, 0.9, 7)
+        self._factor(xi)
+        xi[3] = 0.25  # same array object, new content
+        np.testing.assert_array_equal(self._factor(xi), np.sin(np.pi * xi))
+        np.testing.assert_array_equal(self._factor(xi.reshape(7, 1)),
+                                      np.sin(np.pi * xi.reshape(7, 1)))

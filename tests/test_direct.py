@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import hmm_spde.direct as direct_mod
 from hmm_spde.averaging import run_averaged
-from hmm_spde.coefficients import CoefficientSpec, eval_F, preset
+from hmm_spde.coefficients import CoefficientSpec, eval_F, eval_G, preset
 from hmm_spde.direct import DIRECT_STREAM_TAG, run_direct
 from hmm_spde.micro import stationary_variance_linear
 from hmm_spde.experiments import default_x0
@@ -41,6 +41,25 @@ class TestDirectStep:
                                    / (1 + dt * op.eigenvalues), rtol=1e-14)
         np.testing.assert_array_equal(run.trajectory_X[-1], run.final_X)
         assert run.cost == 1
+
+    def test_both_updates_read_the_pre_update_fields(self):
+        # f reads y and g reads x: each step must use the old X and Y in both
+        K, dt, eps, n = 5, 0.01, 0.1, 4
+        tau = dt / eps
+        op = laplacian_spec(K)
+        spec = CoefficientSpec(
+            name="cross", f=lambda xi, x, y: np.sin(y) + 0 * x,
+            g=lambda xi, x, y: np.cos(x) - y, sup_f=1.0, sup_g=np.inf, lipschitz_g_y=1.0,
+        )
+        x, y = default_x0(K), 0.5 * np.ones(K)
+        run = run_direct(x, y, spec, op, op, epsilon=eps, dt=dt, T=n * dt, seed=7)
+        noise = standard_normals(derive_key(7, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG), K,
+                                 count=n) * np.sqrt(tau)
+        for z in noise:
+            x, y = ((x + dt * eval_F(spec, x, y)) / (1 + dt * op.eigenvalues),
+                    (y + tau * eval_G(spec, x, y) + z) / (1 + tau * op.eigenvalues))
+        np.testing.assert_allclose(run.final_X, x, rtol=1e-12)
+        np.testing.assert_allclose(run.final_Y, y, rtol=1e-12)
 
 
 class TestRunDirect:
@@ -197,6 +216,24 @@ class TestSeedAxis:
         for s, one in enumerate(singles):
             np.testing.assert_array_equal(batch.trajectory_X[:, s], one.trajectory_X)
             np.testing.assert_array_equal(batch.final_Y[s], one.final_Y)
+
+    def test_row_valued_reactions_broadcast_over_seeds(self):
+        # f and g that read only xi return one (K,) row for the whole stack
+        K = 5
+        op = laplacian_spec(K)
+        spec = CoefficientSpec(
+            name="forced", f=lambda xi, x, y: np.sin(np.pi * xi),
+            g=lambda xi, x, y: np.cos(np.pi * xi), sup_f=1.0, sup_g=1.0, lipschitz_g_y=0.0,
+        )
+        kw = dict(epsilon=0.1, dt=0.01, T=0.1)
+        batch = run_direct(default_x0(K), np.zeros(K), spec, op, op, seed=[4, 5], **kw)
+        for s, seed in enumerate((4, 5)):
+            one = run_direct(default_x0(K), np.zeros(K), spec, op, op, seed=seed, **kw)
+            np.testing.assert_array_equal(batch.trajectory_X[:, s], one.trajectory_X)
+            np.testing.assert_array_equal(batch.final_Y[s], one.final_Y)
+        forcing = eval_F(spec, np.zeros(K), np.zeros(K))
+        np.testing.assert_array_equal(
+            one.trajectory_X, run_averaged(default_x0(K), lambda x: forcing, op, 0.01, 10))
 
     def test_empty_seed_sequence_rejected(self):
         K = 3

@@ -238,6 +238,11 @@ class TestMacroOrder:
         with pytest.raises(ValueError):
             macro_order_experiment(problem="p2")
 
+    def test_dt_that_does_not_divide_T_rejected(self):
+        # round(0.25 / 0.1) = 2 steps would end at 0.2, short of the reference's T
+        with pytest.raises(ValueError, match=r"dt=0\.1 .*T=0\.25"):
+            macro_order_experiment(K=7, T=0.25, dt_list=[0.125, 0.1], fine_factor=4)
+
 
 class TestWarmupBias:
     def test_rate_matches_ar1(self):

@@ -33,7 +33,12 @@ import scipy
 
 import hmm_spde.micro as micro_mod
 from hmm_spde import cli
-from hmm_spde.averaging import fbar_sampled
+from hmm_spde.averaging import (
+    fbar_sampled,
+    gaussian_shifted,
+    make_gaussian_fbar,
+    reference_solution,
+)
 from hmm_spde.coefficients import preset
 from hmm_spde.direct import run_direct
 from hmm_spde.experiments import (
@@ -104,11 +109,19 @@ def _run_hmm(problem):
     return _digest(run.trajectory, run.final_micro_states)
 
 
-def _run_direct(problem="p2"):
+def _run_direct(problem="p2", seed=23):
     op = laplacian_spec(K)
     run = run_direct(default_x0(K), np.zeros(K), preset(problem), op, op,
-                     epsilon=0.1, dt=0.005, T=0.1, seed=23)
+                     epsilon=0.1, dt=0.005, T=0.1, seed=seed)
     return _digest(run.trajectory_X, run.final_Y)
+
+
+def _reference_solution_p3():
+    op = laplacian_spec(K)
+    spec = preset("p3")
+    fbar = make_gaussian_fbar(spec, gaussian_shifted(op, spec.linear_drift))
+    ref = reference_solution(default_x0(K), fbar, op, T=0.2, fine_dt=0.2 / 16)
+    return _digest(ref.field, np.array([ref.richardson_gap]))
 
 
 def _run_micro(problem="p2", steps=40, warmup=5):
@@ -184,10 +197,13 @@ CASES = {
     "run_direct": _run_direct,
     "run_direct_p1": lambda: _run_direct("p1"),
     "run_direct_p3": lambda: _run_direct("p3"),
+    # g != 0 on the seed axis, with the trajectory recorded
+    "run_direct_p2_seeds": lambda: _run_direct("p2", seed=(23, 24, 25)),
     "run_micro": _run_micro,
     # g = 0 and a warm-up that ends inside the second noise chunk
     "run_micro_p1": lambda: _run_micro("p1", steps=45, warmup=20),
     "fbar_sampled": _fbar_sampled,
+    "reference_solution_p3": _reference_solution_p3,
     "strong_error_experiment": _strong_error_experiment,
     "weak_error_experiment": _weak_error_experiment,
     "averaging_experiment": _averaging_experiment,

@@ -111,6 +111,49 @@ class TestStepReplicasArguments:
         np.testing.assert_array_equal(plain, want)
 
 
+class TestStepReplicasOut:
+    """With ``out`` set, step_replicas writes the allocating call's result
+    there, bit for bit, whether ``out`` is a fresh buffer, ``y`` or the
+    increment; no other argument changes."""
+
+    @pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+    @pytest.mark.parametrize("K", [1, 2, 15, 63])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_out_fresh_or_aliased(self, problem, K, lead):
+        tau, spec = 0.05, preset(problem)
+        rng = np.random.default_rng(K + len(lead))
+        op = laplacian_spec(K)
+        y, incr = rng.standard_normal((2,) + lead + (K,))
+        fixed = [to_grid(rng.standard_normal(K)), grid_points(K),
+                 1.0 / (1.0 + tau * op.eigenvalues)]
+        for a in (y, incr, *fixed):
+            a.setflags(write=False)
+        x_grid, xi, res = fixed
+        want = step_replicas(y, x_grid, xi, incr, res, tau, spec)
+        buf = np.empty(want.shape)
+        assert step_replicas(y, x_grid, xi, incr, res, tau, spec, out=buf) is buf
+        np.testing.assert_array_equal(buf, want)
+        y_out = y.copy()
+        assert step_replicas(y_out, x_grid, xi, incr, res, tau, spec, to_grid(y),
+                             out=y_out) is y_out
+        np.testing.assert_array_equal(y_out, want)
+        incr_out = incr.copy()
+        step_replicas(y, x_grid, xi, incr_out, res, tau, spec, out=incr_out)
+        np.testing.assert_array_equal(incr_out, want)
+
+    def test_y_free_g_broadcasts_over_the_stack(self):
+        K, tau = 5, 0.05
+        spec = CoefficientSpec(name="forced", f=P1.f, g=lambda xi, x, y: np.sin(np.pi * xi),
+                               sup_f=1.0, sup_g=1.0, lipschitz_g_y=0.0)
+        rng = np.random.default_rng(2)
+        y, incr = rng.standard_normal((2, 3, K))
+        args = (to_grid(rng.standard_normal(K)), grid_points(K),
+                1.0 / (1.0 + tau * laplacian_spec(K).eigenvalues))
+        want = step_replicas(y, args[0], args[1], incr, args[2], tau, spec)
+        step_replicas(y, args[0], args[1], incr, args[2], tau, spec, out=y)
+        np.testing.assert_array_equal(y, want)
+
+
 class TestWindowAccumulation:
     # run_micro sums each chunk's window statistics with _accumulate; it must
     # add the rows in step order, as the per-step ``acc += row`` loop did

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -306,3 +308,102 @@ class TestArgumentsAndDenominators:
         for dt in (*dts, *dts[::-1]):
             np.testing.assert_array_equal(op.euler_denominator(dt),
                                           1.0 + dt * op.eigenvalues)
+
+
+OUT_SHAPES = [lead + (K,) for K in (1, 2, 15, 63) for lead in ((), (3,), (2, 3))]
+
+
+class TestOutArgument:
+    """With ``out`` set, each primitive writes the allocating call's result
+    there, bit for bit, and returns it, whether ``out`` is a fresh buffer or
+    one of the inputs; no other argument changes."""
+
+    @staticmethod
+    def _frozen(a):
+        a = np.array(a, copy=True)
+        a.setflags(write=False)
+        return a
+
+    @pytest.mark.parametrize("fn", [to_grid, to_spectral])
+    @pytest.mark.parametrize("shape", OUT_SHAPES)
+    def test_transforms(self, fn, shape):
+        x = self._frozen(np.random.default_rng(shape[-1]).standard_normal(shape))
+        want = fn(x)
+        buf = np.empty(shape)
+        assert fn(x, out=buf) is buf
+        np.testing.assert_array_equal(buf, want)
+        alias = x.copy()
+        assert fn(alias, out=alias) is alias
+        np.testing.assert_array_equal(alias, want)
+
+    @pytest.mark.parametrize("fn", [to_grid, to_spectral])
+    def test_transforms_broadcast_into_out(self, fn):
+        row = self._frozen(np.random.default_rng(4).standard_normal(7))
+        buf = np.empty((2, 3, 7))
+        fn(row, out=buf)
+        np.testing.assert_array_equal(buf, np.broadcast_to(fn(row), buf.shape))
+
+    @pytest.mark.parametrize("fn", [to_grid, to_spectral])
+    def test_transforms_reject_out_that_does_not_fit(self, fn):
+        # the kernel itself would write past the end of this buffer
+        with pytest.raises(ValueError):
+            fn(np.ones((3, 5)), out=np.empty((2, 5)))
+
+    @pytest.mark.parametrize("shape", OUT_SHAPES)
+    def test_euler_step(self, shape):
+        rng = np.random.default_rng(shape[-1] + len(shape))
+        op = laplacian_spec(shape[-1])
+        x = self._frozen(rng.standard_normal(shape))
+        f = self._frozen(rng.standard_normal(shape))
+        want = implicit_euler_step(x, f, 0.1, op)
+        buf = np.empty(shape)
+        assert implicit_euler_step(x, f, 0.1, op, out=buf) is buf
+        np.testing.assert_array_equal(buf, want)
+        for which in (0, 1):
+            args = [x, f]
+            alias = args[which] = args[which].copy()
+            assert implicit_euler_step(*args, 0.1, op, out=alias) is alias
+            np.testing.assert_array_equal(alias, want)
+            np.testing.assert_array_equal(args[1 - which], (x, f)[1 - which])
+
+    def test_negative_dt_leaves_out_untouched(self):
+        x = np.ones(3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            implicit_euler_step(x, np.ones(3), -0.1, laplacian_spec(3), out=x)
+        np.testing.assert_array_equal(x, np.ones(3))
+
+
+class TestOperatorSpecValue:
+    """An operator is a value: equality and hash follow its kind and
+    eigenvalues, and its eigenvalues cannot change under its caches."""
+
+    def test_equal_specs_compare_and_hash_equal(self):
+        a, b = laplacian_spec(3), laplacian_spec(3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_specs_compare_unequal(self):
+        a = laplacian_spec(3)
+        assert a != laplacian_spec(4)
+        assert a != OperatorSpec(eigenvalues=2.0 * a.eigenvalues)
+        assert a != OperatorSpec(eigenvalues=a.eigenvalues, basis_kind="other")
+        assert a != "not an operator"
+
+    def test_eigenvalues_read_only_copy(self):
+        eig = np.array([1.0, 4.0, 9.0])
+        op = OperatorSpec(eigenvalues=eig)
+        den = op.euler_denominator(0.1)
+        with pytest.raises(ValueError):
+            op.eigenvalues[0] = 2.0
+        eig[0] = 2.0  # the caller's array stays theirs and writeable
+        assert eig.flags.writeable
+        assert op.eigenvalues[0] == 1.0
+        np.testing.assert_array_equal(op.euler_denominator(0.1), den)
+
+    def test_replace_gives_own_cache(self):
+        a = laplacian_spec(4)
+        den = a.euler_denominator(0.1)
+        b = dataclasses.replace(a)
+        assert b == a
+        assert b.euler_denominator(0.1) is not den
+        np.testing.assert_array_equal(b.euler_denominator(0.1), den)
