@@ -55,6 +55,8 @@ __all__ = [
 DEFAULT_QUAD_ORDER = 40
 _SQRT_PI = np.sqrt(np.pi)
 
+# x -> fbar(x), row-wise on a (..., K) stack: each row of the result equals
+# the call on that row alone, bit for bit (or one (K,) row serves all rows)
 FbarProvider = Callable[[np.ndarray], np.ndarray]
 
 
@@ -133,7 +135,7 @@ def _quadrature_nodes(measure, K, nodes):
 
 
 def _quadrature_average(spec, x, xi_col, y_nodes, weights):
-    vals = spec.f(xi_col, to_grid(x)[:, None], y_nodes)
+    vals = spec.f(xi_col, to_grid(x)[..., None], y_nodes)
     avg = vals @ weights
     avg /= _SQRT_PI
     return to_spectral(avg)
@@ -235,6 +237,8 @@ def run_averaged(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if op_a.mode_count != x0.shape[-1]:
+        raise ValueError("operator mode counts must match the fields")
     traj = np.empty((n_steps + 1, x0.shape[-1]))
     traj[0] = x0
     for xbar, xbar_next in zip(traj[:-1], traj[1:]):
@@ -260,18 +264,30 @@ def reference_solution(
 
     Also integrates at half the step and reports the endpoint gap (a
     Richardson self-consistency number the caller should compare against the
-    errors being measured).
+    errors being measured).  Both run in lock step as the rows of one
+    (2, K) stack, one oracle call on the stack and one on the finer row per
+    coarse step; each row equals :func:`run_averaged` at its step bit for bit.
     """
     if fine_dt <= 0 or T <= 0:
         raise ValueError("T and fine_dt must be positive")
+    if op_a.mode_count != x0.shape[-1]:
+        raise ValueError("operator mode counts must match the fields")
     n = int(round(T / fine_dt))
     if abs(n * fine_dt - T) > 1e-9 * T:
         raise ValueError("fine_dt must divide T")
-    x_fine = run_averaged(x0, fbar, op_a, fine_dt, n)[-1]
-    x_finer = run_averaged(x0, fbar, op_a, fine_dt / 2.0, 2 * n)[-1]
+    half = fine_dt / 2.0
+    xs = np.array([x0, x0], dtype=float)
+    x_fine, x_finer = xs
+    fs = np.empty_like(xs)  # fbar of both rows; one (K,) result serves both
+    f_fine, f_finer = fs
+    for _ in range(n):
+        fs[...] = fbar(xs)
+        implicit_euler_step(x_fine, f_fine, fine_dt, op_a, out=x_fine)
+        implicit_euler_step(x_finer, f_finer, half, op_a, out=x_finer)
+        implicit_euler_step(x_finer, fbar(x_finer), half, op_a, out=x_finer)
     return ReferenceSolution(
         field=x_finer,
-        fine_dt=fine_dt / 2.0,
+        fine_dt=half,
         richardson_gap=float(np.linalg.norm(x_fine - x_finer)),
     )
 
@@ -283,6 +299,7 @@ def make_gaussian_fbar(
 ) -> FbarProvider:
     """Bind the quadrature oracle into an fbar provider x -> fbar(x).
 
+    It acts row-wise on a (..., K) stack, as :data:`FbarProvider` requires.
     The quadrature's y-samples sqrt(2) sigma(xi) t_q depend on K only, so
     the provider builds them once per K; this is the right entry point for
     time-stepping loops that call the oracle once per step.

@@ -60,7 +60,8 @@ def step_replicas(
     """One fast step applied to a (..., K) stack of fields in lock step.
 
     ``increment`` is the sqrt(tau)-scaled normal block, ``resolvent_mult``
-    the precomputed per-mode factors 1/(1 + tau mu_k), and ``y_grid``, when
+    the precomputed per-mode factors 1/(1 + tau mu_k) (one row per field
+    when ``tau`` is a column of per-row steps), and ``y_grid``, when
     the caller has it, ``to_grid(y)``.  The new state is written to ``out``
     (a fresh array when None) and returned; ``out`` may be ``y`` or
     ``increment``.  This is the single code path every fast-chain consumer
@@ -68,8 +69,7 @@ def step_replicas(
     """
     if coeffs.has_g:
         drift = to_spectral(coeffs.g(xi, x_grid, to_grid(y) if y_grid is None else y_grid))
-        drift *= tau
-        y = y + drift
+        y = y + drift * tau
     out = np.add(y, increment, out=out)
     out *= resolvent_mult
     return out

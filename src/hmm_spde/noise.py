@@ -26,12 +26,14 @@ multiscale driver opens one stream per (seed, replica) at macro step 0 and
 reads it forward for the whole run; the fast-chain run and the direct
 solver open theirs (one per key, one per seed) the same way.
 :func:`draw_increments` reads open streams; :func:`standard_normals` is the
-one keyed entry, a fresh stream at the key's position.
+one keyed entry, a fresh stream at the key's position.  Streams that are
+done are dropped from the end with :meth:`NoiseStreams.keep`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -142,6 +144,10 @@ class NoiseStreams:
         if not self._gens:
             raise ValueError("no stream keys given")
 
+    def keep(self, count: int) -> None:
+        """Read only the first ``count`` streams from now on."""
+        del self._gens[count:]
+
     def standard_normals(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next ``count`` steps of every stream, shape (count, streams, K).
 
@@ -181,7 +187,7 @@ def standard_normals(key: NoiseStreamKey, K: int, count: int = 1) -> np.ndarray:
 
 def draw_increments(
     streams: NoiseStreams,
-    dt: float,
+    dt: float | Sequence[float],
     K: int,
     count: int,
     out: np.ndarray | None = None,
@@ -189,14 +195,22 @@ def draw_increments(
     """Increments over the next ``count`` steps of length ``dt`` of every stream.
 
     Shape (count, streams, K): sqrt(dt) times the next standard normals of
-    the open ``streams``, written into ``out`` when it is given.
+    the open ``streams``, written into ``out`` when it is given.  ``dt`` is
+    one step for all streams or one per stream (a sequence).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if isinstance(dt, numbers.Real):
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        scale = math.sqrt(dt)
+    else:
+        dt = np.asarray(dt, dtype=float)
+        if dt.shape != (len(streams._gens),) or not (dt > 0).all():
+            raise ValueError(f"dt must be positive, one step per stream, got {dt}")
+        scale = np.sqrt(dt)[:, None]
     if streams.K != K:
         raise ValueError(f"streams draw {streams.K} modes, asked for {K}")
     z = streams.standard_normals(count, out)
-    np.multiply(z, math.sqrt(dt), out=z)
+    np.multiply(z, scale, out=z)
     return z
 
 

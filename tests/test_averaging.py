@@ -155,6 +155,33 @@ class TestFbarGaussian:
             assert h_norm(out) <= 1.0
 
 
+class TestStackedProviders:
+    # the FbarProvider contract: a provider acts row-wise on a (..., K) stack,
+    # each row of a stacked call equal to the call on that row, bit for bit
+
+    @staticmethod
+    def measure(problem, op):
+        spec = preset(problem)
+        if spec.linear_drift is None:
+            return spec, gaussian_nu(op)
+        return spec, gaussian_shifted(op, spec.linear_drift)
+
+    @pytest.mark.parametrize("problem", ["p1", "p3"])
+    @pytest.mark.parametrize("K", [1, 2, 15, 63])
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    def test_stack_equals_per_row_calls(self, problem, K, R):
+        op = laplacian_spec(K)
+        spec, m = self.measure(problem, op)
+        x = np.random.default_rng(K * 10 + R).standard_normal((R, K))
+        fbar = make_gaussian_fbar(spec, m)
+        stacked, direct = fbar(x), fbar_gaussian(spec, x, m)
+        assert stacked.shape == direct.shape == (R, K)
+        for r in range(R):
+            np.testing.assert_array_equal(stacked[r], fbar(x[r]))
+            np.testing.assert_array_equal(direct[r], fbar_gaussian(spec, x[r], m))
+        np.testing.assert_array_equal(stacked, direct)
+
+
 class TestMeasures:
     def test_nu_variances(self):
         op = laplacian_spec(5)
@@ -243,6 +270,11 @@ class TestAveragedScheme:
         with pytest.raises(ValueError, match="dt"):
             run_averaged(np.ones(2), lambda x: np.zeros(2), op, 0.0, 1)
 
+    def test_operator_mode_count_must_match(self):
+        # a one-mode operator would broadcast its eigenvalue over 15 modes
+        with pytest.raises(ValueError, match="mode counts"):
+            run_averaged(np.ones(15), lambda x: np.zeros(15), laplacian_spec(1), 0.1, 2)
+
     def test_uniform_bound_lipschitz_fbar(self):
         # |xbar_n| <= C (1 + |x0|) uniformly in n for the bounded oracle
         K = 15
@@ -288,6 +320,27 @@ class TestReferenceSolution:
         a = reference_solution(x0, fbar, op, 0.2, 0.2 / 128)
         b = reference_solution(x0, fbar, op, 0.2, 0.2 / 128)
         np.testing.assert_array_equal(a.field, b.field)
+
+    @pytest.mark.parametrize("problem", ["p1", "p3"])
+    @pytest.mark.parametrize("K", [1, 2, 15, 63])
+    def test_rows_equal_separate_integrations(self, problem, K):
+        # the lock-stepped pair gives the two run_averaged endpoints bit for bit
+        op = laplacian_spec(K)
+        spec, m = TestStackedProviders.measure(problem, op)
+        fbar = make_gaussian_fbar(spec, m)
+        x0 = np.linspace(0.8, -0.3, K)
+        T, n = 0.2, 32
+        ref = reference_solution(x0, fbar, op, T, T / n)
+        fine = run_averaged(x0, fbar, op, T / n, n)[-1]
+        finer = run_averaged(x0, fbar, op, T / n / 2.0, 2 * n)[-1]
+        np.testing.assert_array_equal(ref.field, finer)
+        assert ref.richardson_gap == float(np.linalg.norm(fine - finer))
+        assert ref.fine_dt == T / n / 2.0
+
+    def test_operator_mode_count_must_match(self):
+        with pytest.raises(ValueError, match="mode counts"):
+            reference_solution(np.ones(15), lambda x: np.zeros(15), laplacian_spec(1),
+                               0.5, 0.5 / 16)
 
     def test_bad_fine_dt_rejected(self):
         with pytest.raises(ValueError):

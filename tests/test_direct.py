@@ -74,6 +74,45 @@ class TestRunDirect:
                           epsilon=0.5, dt=0.15, T=1.0, seed=0)
         assert run2.cost == 7  # ceil(1.0 / 0.15)
 
+    def test_operator_mode_count_must_match(self):
+        # a one-mode operator would broadcast its eigenvalue over 15 modes
+        K = 15
+        for op_a, op_b in ((laplacian_spec(1), laplacian_spec(K)),
+                           (laplacian_spec(K), laplacian_spec(1))):
+            with pytest.raises(ValueError, match="mode counts"):
+                run_direct(default_x0(K), np.zeros(K), P1, op_a, op_b,
+                           epsilon=0.1, dt=0.01, T=0.05, seed=0)
+
+    @pytest.mark.parametrize("name, value, row", [
+        ("epsilon", np.inf, 0), ("epsilon", [0.1, np.nan], 1), ("epsilon", [0.1, 0.0], 1),
+        ("dt", np.inf, 0), ("dt", [0.01, -0.01], 1), ("dt", [np.inf, 0.01], 0),
+    ])
+    def test_bad_epsilon_or_dt_rejected_per_row(self, name, value, row):
+        K = 3
+        op = laplacian_spec(K)
+        kw = dict(epsilon=0.1, dt=0.01, T=0.05, seed=[1, 2])
+        kw[name] = value
+        with pytest.raises(ValueError, match=rf"^{name} must be positive .* in row {row}$"):
+            run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
+
+    @pytest.mark.parametrize("T", [np.inf, np.nan, 0.0, -1.0])
+    def test_bad_horizon_rejected(self, T):
+        K = 3
+        op = laplacian_spec(K)
+        with pytest.raises(ValueError, match="^T must be positive and finite"):
+            run_direct(default_x0(K), np.zeros(K), P1, op, op,
+                       epsilon=0.1, dt=0.01, T=T, seed=1)
+
+    def test_per_row_sequence_must_fit_the_seeds(self):
+        K = 3
+        op = laplacian_spec(K)
+        kw = dict(epsilon=0.1, dt=0.01, T=0.05)
+        for name, value, seed in (("epsilon", [0.1, 0.2], [1, 2, 3]), ("dt", [0.01], [1, 2]),
+                                  ("dt", [0.01], 1), ("epsilon", [0.1, 0.2], 1)):
+            with pytest.raises(ValueError, match=f"^{name} needs one value per seed"):
+                run_direct(default_x0(K), np.zeros(K), P1, op, op,
+                           **{**kw, name: value, "seed": seed})
+
     def test_underresolved_fast_scale_warns(self):
         K = 3
         op = laplacian_spec(K)
@@ -217,14 +256,18 @@ class TestSeedAxis:
             np.testing.assert_array_equal(batch.trajectory_X[:, s], one.trajectory_X)
             np.testing.assert_array_equal(batch.final_Y[s], one.final_Y)
 
+    @staticmethod
+    def forced_spec():
+        return CoefficientSpec(
+            name="forced", f=lambda xi, x, y: np.sin(np.pi * xi),
+            g=lambda xi, x, y: np.cos(np.pi * xi), sup_f=1.0, sup_g=1.0, lipschitz_g_y=0.0,
+        )
+
     def test_row_valued_reactions_broadcast_over_seeds(self):
         # f and g that read only xi return one (K,) row for the whole stack
         K = 5
         op = laplacian_spec(K)
-        spec = CoefficientSpec(
-            name="forced", f=lambda xi, x, y: np.sin(np.pi * xi),
-            g=lambda xi, x, y: np.cos(np.pi * xi), sup_f=1.0, sup_g=1.0, lipschitz_g_y=0.0,
-        )
+        spec = self.forced_spec()
         kw = dict(epsilon=0.1, dt=0.01, T=0.1)
         batch = run_direct(default_x0(K), np.zeros(K), spec, op, op, seed=[4, 5], **kw)
         for s, seed in enumerate((4, 5)):
@@ -234,6 +277,70 @@ class TestSeedAxis:
         forcing = eval_F(spec, np.zeros(K), np.zeros(K))
         np.testing.assert_array_equal(
             one.trajectory_X, run_averaged(default_x0(K), lambda x: forcing, op, 0.01, 10))
+
+    def test_per_row_epsilon_and_dt(self):
+        # the averaging experiment's rows: dt = eps * 0.1, so tau = dt / eps
+        # differs in its last bit between rows ((0.1 * 0.1) / 0.1 is
+        # 0.10000000000000002, (0.03 * 0.1) / 0.03 is 0.1); the horizons are
+        # ragged (10, 34 and 100 steps) and p2's g reads tau
+        K = 7
+        op = laplacian_spec(K)
+        eps = [0.1, 0.1, 0.03, 0.01, 0.03]
+        dts = [e * 0.1 for e in eps]
+        seeds = [mix_seed(5, r) for r in range(len(eps))]
+        batch = run_direct(default_x0(K), np.zeros(K), preset("p2"), op, op, eps, dts, 0.1,
+                           seeds, trajectory=False)
+        assert batch.cost == 2 * 10 + 2 * 34 + 100
+        assert batch.dt == tuple(dts)
+        assert batch.final_X.shape == batch.final_Y.shape == (len(eps), K)
+        for r in range(len(eps)):
+            one = run_direct(default_x0(K), np.zeros(K), preset("p2"), op, op, eps[r], dts[r],
+                             0.1, seeds[r])
+            np.testing.assert_array_equal(batch.final_X[r], one.final_X)
+            np.testing.assert_array_equal(batch.final_Y[r], one.final_Y)
+
+    def test_trajectory_needs_equal_step_counts(self):
+        K = 3
+        op = laplacian_spec(K)
+        kw = dict(epsilon=0.1, T=0.05, seed=[1, 2])
+        with pytest.raises(ValueError, match="same step count"):
+            run_direct(default_x0(K), np.zeros(K), P1, op, op, dt=[0.01, 0.005], **kw)
+        # different dt with equal step counts still records the trajectory
+        run = run_direct(default_x0(K), np.zeros(K), P1, op, op, dt=[0.01, 0.0101], **kw)
+        assert run.trajectory_X.shape == (6, 2, K)
+        assert run.dt == (0.01, 0.0101)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.sampled_from([0.05, 0.1, 0.3]),
+                                st.sampled_from([0.005, 0.007, 0.01, 0.02])),
+                      min_size=1, max_size=5),
+        problem=st.sampled_from(["p1", "p2", "forced"]),
+        chunk=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_row_permutation_permutes_results(self, rows, problem, chunk, data):
+        # any order of the (seed, epsilon, dt) rows gives the same rows, each
+        # equal to its single run, whatever the noise chunks
+        K = 4
+        op = laplacian_spec(K)
+        coeffs = self.forced_spec() if problem == "forced" else preset(problem)
+        perm = data.draw(st.permutations(range(len(rows))))
+
+        def run(rs):
+            seeds, eps, dts = map(list, zip(*rs))
+            with mock.patch.object(direct_mod, "_CHUNK_STEPS", chunk):
+                return run_direct(default_x0(K), np.zeros(K), coeffs, op, op, eps, dts, 0.05,
+                                  seeds, trajectory=False)
+
+        base, permuted = run(rows), run([rows[p] for p in perm])
+        np.testing.assert_array_equal(permuted.final_X, base.final_X[perm])
+        np.testing.assert_array_equal(permuted.final_Y, base.final_Y[perm])
+        assert permuted.cost == base.cost
+        for r, (seed, eps, dt) in enumerate(rows):
+            one = run_direct(default_x0(K), np.zeros(K), coeffs, op, op, eps, dt, 0.05, seed)
+            np.testing.assert_array_equal(base.final_X[r], one.final_X)
+            np.testing.assert_array_equal(base.final_Y[r], one.final_Y)
 
     def test_empty_seed_sequence_rejected(self):
         K = 3

@@ -59,6 +59,33 @@ class TestNoiseStreams:
         for i, key in enumerate(keys):
             np.testing.assert_array_equal(buf[:, i], standard_normals(key, 7, count=6) * np.sqrt(0.25))
 
+    def test_per_stream_dt(self):
+        # one step per stream scales stream i by math.sqrt(dt[i]), the same
+        # bits as a draw from that stream alone with the float dt
+        keys = [derive_key(s, 0, 0, 1, stream_tag=1) for s in (4, 5, 6)]
+        dts = [0.1, 0.03 * 0.1 / 0.03, 1e-3]
+        got = draw_increments(NoiseStreams(keys, 15), dts, 15, 5)
+        for i, (key, dt) in enumerate(zip(keys, dts)):
+            one = draw_increments(NoiseStreams([key], 15), dt, 15, 5)[:, 0]
+            np.testing.assert_array_equal(got[:, i], one)
+        with pytest.raises(ValueError, match="one step per stream"):
+            draw_increments(NoiseStreams(keys, 15), dts[:2], 15, 1)
+        with pytest.raises(ValueError, match="positive"):
+            draw_increments(NoiseStreams(keys, 15), [0.1, 0.0, 0.1], 15, 1)
+
+    def test_keep_stops_trailing_streams(self):
+        # the kept streams read on from where they were; the rest are dropped
+        keys = [derive_key(7, 0, 0, j) for j in (1, 2, 3)]
+        streams = NoiseStreams(keys, 5)
+        first = streams.standard_normals(3)
+        streams.keep(2)
+        rest = streams.standard_normals(4)
+        assert rest.shape == (4, 2, 5)
+        for i, key in enumerate(keys[:2]):
+            np.testing.assert_array_equal(
+                np.concatenate([first[:, i], rest[:, i]]), standard_normals(key, 5, count=7))
+        np.testing.assert_array_equal(first[:, 2], standard_normals(keys[2], 5, count=3))
+
     def test_bad_arguments_rejected(self):
         streams = NoiseStreams([derive_key(1, 0, 0, 1)], 4)
         with pytest.raises(ValueError, match="out"):
