@@ -127,20 +127,6 @@ def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _quadrature_nodes(measure, K, nodes):
-    """(xi as a column, y-samples sqrt(2) sigma_i t_q per grid point and node)."""
-    xi = grid_points(K)
-    sigma = np.sqrt(pointwise_variance(measure, xi, K=min(K, measure.mode_variances.size)))
-    return xi[:, None], np.sqrt(2.0) * sigma[:, None] * nodes[None, :]
-
-
-def _quadrature_average(spec, x, xi_col, y_nodes, weights):
-    vals = spec.f(xi_col, to_grid(x)[..., None], y_nodes)
-    avg = vals @ weights
-    avg /= _SQRT_PI
-    return to_spectral(avg)
-
-
 def fbar_gaussian(
     spec: CoefficientSpec,
     x: np.ndarray,
@@ -149,16 +135,11 @@ def fbar_gaussian(
 ) -> np.ndarray:
     """Averaged coefficient under a product-Gaussian invariant law.
 
-    Integrates f(xi_i, x(xi_i), .) against N(0, sigma^2(xi_i)) at every grid
-    point with Gauss-Hermite quadrature, then transforms to coefficients.
+    One call of the :func:`make_gaussian_fbar` provider on ``x``: integrates
+    f(xi_i, x(xi_i), .) against N(0, sigma^2(xi_i)) at every grid point with
+    Gauss-Hermite quadrature, then transforms to coefficients.
     """
-    if not measure.is_gaussian:
-        raise ValueError(
-            "quadrature averaging needs a Gaussian measure; use fbar_sampled instead"
-        )
-    nodes, weights = _hermgauss(quad_order)
-    return _quadrature_average(spec, x, *_quadrature_nodes(measure, x.shape[-1], nodes),
-                               weights)
+    return make_gaussian_fbar(spec, measure, quad_order)(x)
 
 
 @dataclass(frozen=True)
@@ -309,12 +290,19 @@ def make_gaussian_fbar(
             "quadrature averaging needs a Gaussian measure; use fbar_sampled instead"
         )
     nodes, weights = _hermgauss(quad_order)
+    # K -> (xi as a column, y-samples sqrt(2) sigma_i t_q per grid point and node)
     cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def fbar(x: np.ndarray) -> np.ndarray:
         K = x.shape[-1]
         if K not in cache:
-            cache[K] = _quadrature_nodes(measure, K, nodes)
-        return _quadrature_average(spec, x, *cache[K], weights)
+            xi = grid_points(K)
+            sigma = np.sqrt(pointwise_variance(
+                measure, xi, K=min(K, measure.mode_variances.size)))
+            cache[K] = xi[:, None], np.sqrt(2.0) * sigma[:, None] * nodes[None, :]
+        xi_col, y_nodes = cache[K]
+        avg = spec.f(xi_col, to_grid(x)[..., None], y_nodes) @ weights
+        avg /= _SQRT_PI
+        return to_spectral(avg)
 
     return fbar

@@ -42,14 +42,16 @@ from .hmm import HmmParams, choose_params, cost_compare, run_hmm
 from .noise import derive_key
 from .spectral import grid_points, laplacian_spec, to_grid
 
-EXPERIMENTS = (
-    "strong_m",
-    "strong_nt",
-    "weak_tau",
-    "invariant_tau",
-    "averaging",
-    "macro_order",
-)
+# rates --experiment name -> its call on the parsed arguments
+EXPERIMENTS = {
+    "strong_m": lambda a: strong_error_experiment(sweep="M", n_seeds=a.seeds, seed=a.seed),
+    "strong_nt": lambda a: warmup_bias_experiment(seed=a.seed),
+    "weak_tau": lambda a: weak_error_experiment(n_seeds=a.seeds, seed=a.seed),
+    "invariant_tau": lambda a: invariant_law_tau_sweep(K=4095,
+                                                       tau_list=(1e-2, 1e-3, 1e-4, 1e-5)),
+    "averaging": lambda a: averaging_experiment(n_seeds=a.seeds, seed=a.seed),
+    "macro_order": lambda a: macro_order_experiment(),
+}
 
 
 def _write_trajectory_csv(path: Path, traj: np.ndarray, dt: float) -> None:
@@ -194,28 +196,11 @@ def _cmd_fbar(args) -> None:
 def _cmd_rates(args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = args.experiment
-    if name == "strong_m":
-        report = strong_error_experiment(sweep="M", n_seeds=args.seeds, seed=args.seed)
+    result = EXPERIMENTS[args.experiment](args)
+    reports = ((result.strong, result.weak) if isinstance(result, AveragingReport)
+               else (result,))
+    for report in reports:
         _write_rate_report(report, out_dir)
-    elif name == "strong_nt":
-        report = warmup_bias_experiment(seed=args.seed)
-        _write_rate_report(report, out_dir)
-    elif name == "weak_tau":
-        report = weak_error_experiment(n_seeds=args.seeds, seed=args.seed)
-        _write_rate_report(report, out_dir)
-    elif name == "invariant_tau":
-        report = invariant_law_tau_sweep(K=4095, tau_list=(1e-2, 1e-3, 1e-4, 1e-5))
-        _write_rate_report(report, out_dir)
-    elif name == "averaging":
-        rep: AveragingReport = averaging_experiment(n_seeds=args.seeds, seed=args.seed)
-        _write_rate_report(rep.strong, out_dir)
-        _write_rate_report(rep.weak, out_dir)
-    elif name == "macro_order":
-        report = macro_order_experiment()
-        _write_rate_report(report, out_dir)
-    else:
-        raise SystemExit(f"unknown experiment {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -185,6 +185,36 @@ def default_x0(K: int) -> np.ndarray:
     return x0
 
 
+def _setup(problem: str, K: int, quad_order: int):
+    """(op, coeffs, fbar, x0): the K-mode Laplacian, which serves as both A
+    and B, the preset's coefficients, their quadrature oracle under
+    :func:`_oracle_measure` and :func:`default_x0`."""
+    op = laplacian_spec(K)
+    coeffs = preset(problem)
+    fbar = make_gaussian_fbar(coeffs, _oracle_measure(coeffs, op), quad_order=quad_order)
+    return op, coeffs, fbar, default_x0(K)
+
+
+def _cos_first_mode(K: int) -> TestFunctional:
+    """cos(<x, e_1>), the default functional of the weak errors."""
+    h = np.zeros(K)
+    h[0] = 1.0
+    return TestFunctional(kind="cos_inner", h=h)
+
+
+def _check_n_seeds(n_seeds: int) -> None:
+    """Monte-Carlo experiments need two seeds for a standard error."""
+    if n_seeds < 2:
+        raise ValueError(f"n_seeds must be >= 2 for a Monte-Carlo standard error, "
+                         f"got {n_seeds}")
+
+
+def _mean_stderr(values) -> tuple[float, float]:
+    """Mean of per-seed scalars and its standard error std(ddof=1) / sqrt(n)."""
+    v = np.asarray(values, dtype=float)
+    return v.mean(), v.std(ddof=1) / math.sqrt(v.size)
+
+
 def sample_stationary_linear(
     seed: int, tau: float, op_b: OperatorSpec, M: int
 ) -> np.ndarray:
@@ -254,22 +284,19 @@ def macro_order_experiment(
     for dt in dt_list:
         if dt <= 0 or abs(round(T / dt) * dt - T) > 1e-9 * T:
             raise ValueError(f"dt={dt} must be positive and divide T={T}")
-    op_a = laplacian_spec(K)
-    op_b = laplacian_spec(K)
-    coeffs = preset(problem)
+    op, coeffs, fbar, default = _setup(problem, K, quad_order)
     if coeffs.has_g:
         raise ValueError("macro-order experiment needs the Gaussian oracle (g = 0)")
-    fbar = make_gaussian_fbar(coeffs, gaussian_nu(op_b), quad_order=quad_order)
     if x0 is None:
-        x0 = default_x0(K)
+        x0 = default
 
     fine_dt = min(dt_list) / fine_factor
-    ref = reference_solution(x0, fbar, op_a, T, fine_dt)
+    ref = reference_solution(x0, fbar, op, T, fine_dt)
     dts = np.asarray(sorted(dt_list, reverse=True), float)
     errs = []
     for dt in dts:
         n = int(round(T / dt))
-        xbar = run_averaged(x0, fbar, op_a, dt, n)[-1]
+        xbar = run_averaged(x0, fbar, op, dt, n)[-1]
         errs.append(np.linalg.norm(xbar - ref.field))
     errs = np.array(errs)
     return _make_report(
@@ -318,24 +345,20 @@ def strong_error_experiment(
     at the exact discrete stationary law (g = 0 only), isolating the
     Monte-Carlo fluctuation term from warm-up bias.  The seeds of one sweep
     value run as one batched :func:`run_hmm` call, which equals the per-seed
-    runs bit for bit.
+    runs bit for bit.  ``n_seeds`` < 2 (no standard error) raises ValueError.
     """
     t0 = time.perf_counter()
     if sweep not in ("M", "N", "n_T", "tau"):
         raise ValueError(f"sweep must be one of M, N, n_T, tau; got {sweep!r}")
-    op_a = laplacian_spec(K)
-    op_b = laplacian_spec(K)
-    coeffs = preset(problem)
-    measure = _oracle_measure(coeffs, op_b)
-    fbar = make_gaussian_fbar(coeffs, measure, quad_order=quad_order)
-    x0 = default_x0(K)
+    _check_n_seeds(n_seeds)
+    op, coeffs, fbar, x0 = _setup(problem, K, quad_order)
     if stationary_init and coeffs.has_g:
         raise ValueError("stationary_init draws from the g = 0 law; disable it for g != 0")
 
     # the swept parameter changes neither macro_dt nor n_0: one reference
     base = HmmParams(epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau, T=T,
                      N=N, M=M, n_T=n_T)
-    xbar = run_averaged(x0, fbar, op_a, base.macro_dt, base.n_0)[-1]
+    xbar = run_averaged(x0, fbar, op, base.macro_dt, base.n_0)[-1]
     errors, stderrs = [], []
     for ip, v in enumerate(sweep_values):
         if sweep == "tau":
@@ -344,17 +367,15 @@ def strong_error_experiment(
             params = replace(base, **{sweep: int(v)})
         seeds = [mix_seed(seed, ip, s) for s in range(n_seeds)]
         if stationary_init:
-            y0 = np.stack([sample_stationary_linear(s, params.tau, op_b, params.M)
+            y0 = np.stack([sample_stationary_linear(s, params.tau, op, params.M)
                            for s in seeds])
         else:
             y0 = np.zeros(K)
-        run = run_hmm(x0, y0, coeffs, op_a, op_b, params, seeds)
+        run = run_hmm(x0, y0, coeffs, op, op, params, seeds)
         # per-seed norms: an axis-wise norm sums in another order
-        errs_s = np.empty(n_seeds)
-        for s in range(n_seeds):
-            errs_s[s] = np.linalg.norm(run.X_final[s] - xbar)
-        errors.append(errs_s.mean())
-        stderrs.append(errs_s.std(ddof=1) / math.sqrt(n_seeds))
+        error, stderr = _mean_stderr([np.linalg.norm(x - xbar) for x in run.X_final])
+        errors.append(error)
+        stderrs.append(stderr)
 
     return _make_report(
         f"strong_{sweep.lower()}",
@@ -461,24 +482,19 @@ def weak_error_experiment(
     Desk-scale budgets make this noisy; the stderr column and the fit filter
     report that honestly.  The seeds of one sweep value run as one batched
     :func:`run_hmm` call, which equals the per-seed runs bit for bit.
+    ``n_seeds`` < 2 (no standard error) raises ValueError.
     """
     t0 = time.perf_counter()
     if sweep not in ("tau", "n_T"):
         raise ValueError(f"sweep must be 'tau' or 'n_T', got {sweep!r}")
-    op_a = laplacian_spec(K)
-    op_b = laplacian_spec(K)
-    coeffs = preset(problem)
-    measure = _oracle_measure(coeffs, op_b)
-    fbar = make_gaussian_fbar(coeffs, measure, quad_order=quad_order)
-    x0 = default_x0(K)
+    _check_n_seeds(n_seeds)
+    op, coeffs, fbar, x0 = _setup(problem, K, quad_order)
     if functional is None:
-        h = np.zeros(K)
-        h[0] = 1.0
-        functional = TestFunctional(kind="cos_inner", h=h)
+        functional = _cos_first_mode(K)
 
     # the swept parameter changes neither macro_dt nor n_0: one reference
     base = HmmParams(epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau, T=T)
-    phi_bar = functional(run_averaged(x0, fbar, op_a, base.macro_dt, base.n_0)[-1])
+    phi_bar = functional(run_averaged(x0, fbar, op, base.macro_dt, base.n_0)[-1])
     errors, stderrs = [], []
     for ip, v in enumerate(sweep_values):
         if sweep == "tau":
@@ -486,13 +502,11 @@ def weak_error_experiment(
                              n_T=max(1, int(round(warmup_time / float(v)))))
         else:
             params = replace(base, n_T=int(v))
-        run = run_hmm(x0, np.zeros(K), coeffs, op_a, op_b, params,
+        run = run_hmm(x0, np.zeros(K), coeffs, op, op, params,
                       [mix_seed(seed, ip, s) for s in range(n_seeds)])
-        vals = np.empty(n_seeds)
-        for s in range(n_seeds):
-            vals[s] = functional(run.X_final[s])
-        errors.append(abs(vals.mean() - phi_bar))
-        stderrs.append(vals.std(ddof=1) / math.sqrt(n_seeds))
+        mean, stderr = _mean_stderr([functional(x) for x in run.X_final])
+        errors.append(abs(mean - phi_bar))
+        stderrs.append(stderr)
 
     return _make_report(
         "weak_" + sweep.lower(),
@@ -535,40 +549,32 @@ def averaging_experiment(
     errors against epsilon.  The whole sweep is one :func:`run_direct`
     call: its rows are (epsilon, seed) pairs with per-row epsilon and dt,
     stepped in lock step, and each row equals its single run bit for bit.
+    ``n_seeds`` < 2 (no standard error) raises ValueError.
     """
     t0 = time.perf_counter()
-    op_a = laplacian_spec(K)
-    op_b = laplacian_spec(K)
-    coeffs = preset(problem)
-    measure = _oracle_measure(coeffs, op_b)
-    fbar = make_gaussian_fbar(coeffs, measure, quad_order=quad_order)
-    x0 = default_x0(K)
+    _check_n_seeds(n_seeds)
+    op, coeffs, fbar, x0 = _setup(problem, K, quad_order)
     if functional is None:
-        h = np.zeros(K)
-        h[0] = 1.0
-        functional = TestFunctional(kind="cos_inner", h=h)
+        functional = _cos_first_mode(K)
     if reference_fine_dt is None:
         reference_fine_dt = T / 2048
-    ref = reference_solution(x0, fbar, op_a, T, reference_fine_dt)
+    ref = reference_solution(x0, fbar, op, T, reference_fine_dt)
     phi_ref = functional(ref.field)
 
     strong_err, strong_se, weak_err, weak_se = [], [], [], []
     eps_arr = np.asarray(sorted(eps_values, reverse=True), float)
     eps_rows = np.repeat(eps_arr, n_seeds)
-    run = run_direct(x0, np.zeros(K), coeffs, op_a, op_b, eps_rows, eps_rows * tau_direct,
+    run = run_direct(x0, np.zeros(K), coeffs, op, op, eps_rows, eps_rows * tau_direct,
                      T, [mix_seed(seed, ip, s) for ip in range(eps_arr.size)
                          for s in range(n_seeds)], trajectory=False)
     for final_X in run.final_X.reshape(eps_arr.size, n_seeds, K):
         # per-seed norms: an axis-wise norm sums in another order
-        dist = np.empty(n_seeds)
-        phis = np.empty(n_seeds)
-        for s in range(n_seeds):
-            dist[s] = np.linalg.norm(final_X[s] - ref.field)
-            phis[s] = functional(final_X[s])
-        strong_err.append(dist.mean())
-        strong_se.append(dist.std(ddof=1) / math.sqrt(n_seeds))
-        weak_err.append(abs(phis.mean() - phi_ref))
-        weak_se.append(phis.std(ddof=1) / math.sqrt(n_seeds))
+        dist, dist_se = _mean_stderr([np.linalg.norm(x - ref.field) for x in final_X])
+        phi, phi_se = _mean_stderr([functional(x) for x in final_X])
+        strong_err.append(dist)
+        strong_se.append(dist_se)
+        weak_err.append(abs(phi - phi_ref))
+        weak_se.append(phi_se)
 
     meta = {"problem": problem, "K": K, "T": T, "tau_direct": tau_direct,
             "seed": seed, "richardson_gap": ref.richardson_gap,

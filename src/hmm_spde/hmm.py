@@ -66,11 +66,17 @@ __all__ = [
     "cost_compare",
 ]
 
+# largest effective micro step tau = micro_dt / epsilon of a valid scheme
+_TAU_MAX = 1.0
+
 
 @dataclass(frozen=True)
 class HmmParams:
     """Scheme parameters; tau, n_0 and m_0 are derived.
 
+    epsilon, macro_dt, micro_dt and T must be positive and finite (a
+    ValueError names the first that is not), and the effective micro step
+    tau = micro_dt / epsilon must not exceed 1.
     n_T >= 1 is enforced: the averaging window must not include the carried
     state before any step of the current macro block has been taken.
     n_0 = floor(T / macro_dt) whole macro steps, so a run ends at
@@ -84,19 +90,18 @@ class HmmParams:
     N: int = 1
     M: int = 1
     n_T: int = 1
-    tau_max: float = 1.0
 
     def __post_init__(self):
-        if min(self.epsilon, self.macro_dt, self.micro_dt, self.T) <= 0:
-            raise ValueError("epsilon, macro_dt, micro_dt and T must be positive")
+        for name in ("epsilon", "macro_dt", "micro_dt", "T"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.N < 1 or self.M < 1:
             raise ValueError("N and M must be >= 1")
         if self.n_T < 1:
             raise ValueError("n_T must be >= 1")
-        if self.tau > self.tau_max:
-            raise ValueError(
-                f"effective micro step tau={self.tau:.3g} exceeds tau_max={self.tau_max}"
-            )
+        if self.tau > _TAU_MAX:
+            raise ValueError(f"effective micro step tau={self.tau:.3g} exceeds {_TAU_MAX}")
 
     @property
     def tau(self) -> float:
@@ -344,7 +349,6 @@ def choose_params(
     coeffs: CoefficientSpec | None = None,
     op_b: OperatorSpec | None = None,
     strong_branch: str = "M1",
-    tau_max: float = 1.0,
 ) -> HmmParams:
     """Pick (dt, delta t, N, M, n_T) for a target tolerance.
 
@@ -397,7 +401,6 @@ def choose_params(
         N=N,
         M=M,
         n_T=n_T,
-        tau_max=tau_max,
     )
 
 

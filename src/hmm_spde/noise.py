@@ -32,8 +32,6 @@ done are dropped from the end with :meth:`NoiseStreams.keep`.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -196,17 +194,16 @@ def draw_increments(
 
     Shape (count, streams, K): sqrt(dt) times the next standard normals of
     the open ``streams``, written into ``out`` when it is given.  ``dt`` is
-    one step for all streams or one per stream (a sequence).
+    one step for all streams (a number) or one step per stream (a
+    sequence); a dt that is not positive, NaN included, raises ValueError.
+    Both forms scale by the correctly rounded ``np.sqrt``, so a stream's
+    increments do not depend on the form its dt came in.
     """
-    if isinstance(dt, numbers.Real):
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        scale = math.sqrt(dt)
-    else:
-        dt = np.asarray(dt, dtype=float)
-        if dt.shape != (len(streams._gens),) or not (dt > 0).all():
-            raise ValueError(f"dt must be positive, one step per stream, got {dt}")
-        scale = np.sqrt(dt)[:, None]
+    dt = np.asarray(dt, dtype=float)
+    if dt.shape not in ((), (len(streams._gens),)) or not (dt > 0).all():
+        raise ValueError(f"dt must be positive, one step for all streams or one step "
+                         f"per stream, got {dt}")
+    scale = np.sqrt(dt)[..., None]  # (1,) or a (streams, 1) column
     if streams.K != K:
         raise ValueError(f"streams draw {streams.K} modes, asked for {K}")
     z = streams.standard_normals(count, out)

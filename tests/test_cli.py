@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+import hmm_spde.cli as cli_mod
 from hmm_spde.cli import main
+from hmm_spde.experiments import AveragingReport, RateReport, SweepRow
 
 
 def read_csv(path):
@@ -130,3 +132,64 @@ class TestRates:
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["rates", "--experiment", "bogus", "--out-dir", str(tmp_path)])
+
+
+def tiny_report(experiment):
+    return RateReport(experiment=experiment, sweep_variable="v",
+                      rows=(SweepRow(1.0, 0.5, 0.01, 2),), slope=1.0, ci_low=0.5,
+                      ci_high=1.5, n_rows_used=1, runtime_seconds=0.0)
+
+
+class TestRatesTable:
+    # --experiment name -> (function in hmm_spde.cli, kwargs it must get, CSVs)
+    TABLE = {
+        "strong_m": ("strong_error_experiment",
+                     {"sweep": "M", "n_seeds": 5, "seed": 9}, ["strong_m"]),
+        "strong_nt": ("warmup_bias_experiment", {"seed": 9}, ["strong_nt"]),
+        "weak_tau": ("weak_error_experiment", {"n_seeds": 5, "seed": 9}, ["weak_tau"]),
+        "invariant_tau": ("invariant_law_tau_sweep",
+                          {"K": 4095, "tau_list": (1e-2, 1e-3, 1e-4, 1e-5)},
+                          ["invariant_tau"]),
+        "averaging": ("averaging_experiment", {"n_seeds": 5, "seed": 9},
+                      ["averaging", "averaging_weak"]),
+        "macro_order": ("macro_order_experiment", {}, ["macro_order"]),
+    }
+
+    def test_table_lists_every_experiment(self):
+        assert sorted(cli_mod.EXPERIMENTS) == sorted(self.TABLE)
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_arguments_forwarded_and_reports_written(self, tmp_path, monkeypatch, name):
+        func, expected, csvs = self.TABLE[name]
+        calls = []
+
+        def fake(**kwargs):
+            calls.append(kwargs)
+            if len(csvs) == 2:
+                return AveragingReport(strong=tiny_report(csvs[0]),
+                                       weak=tiny_report(csvs[1]))
+            return tiny_report(csvs[0])
+
+        monkeypatch.setattr(cli_mod, func, fake)
+        main(["rates", "--experiment", name, "--seeds", "5", "--seed", "9",
+              "--out-dir", str(tmp_path)])
+        assert calls == [expected]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{c}.{ext}" for c in csvs for ext in ("csv", "json"))
+        for c in csvs:
+            assert read_csv(tmp_path / f"{c}.csv") == [
+                ["v", "error", "mc_stderr", "n_samples"], ["1", "0.5", "0.01", "2"]]
+
+    def test_unknown_experiment_exits_through_argparse(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--experiment", "bogus", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not tmp_path.joinpath("bogus.csv").exists()
+
+    @pytest.mark.parametrize("name", ["strong_m", "weak_tau", "averaging"])
+    def test_one_seed_rejected(self, tmp_path, name):
+        with pytest.raises(ValueError, match="n_seeds must be >= 2"):
+            main(["rates", "--experiment", name, "--seeds", "1",
+                  "--out-dir", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []

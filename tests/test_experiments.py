@@ -435,6 +435,25 @@ class TestAveraging:
         assert gap <= 4 * math.hypot(coarse.mc_stderr, fine.mc_stderr)
 
 
+class TestSeedBudget:
+    @pytest.mark.parametrize("n_seeds", [1, 0])
+    @pytest.mark.parametrize("experiment", [
+        strong_error_experiment, weak_error_experiment, averaging_experiment,
+    ])
+    def test_fewer_than_two_seeds_rejected_before_any_work(self, monkeypatch,
+                                                            experiment, n_seeds):
+        # one seed has no standard error: the stderrs came out nan, the fit
+        # dropped every row and the report gave slope nan without an error
+        import hmm_spde.experiments as exp_mod
+
+        def no_work(name):
+            raise AssertionError("the experiment started work")
+
+        monkeypatch.setattr(exp_mod, "preset", no_work)
+        with pytest.raises(ValueError, match=f"^n_seeds must be >= 2 .* got {n_seeds}$"):
+            experiment(n_seeds=n_seeds)
+
+
 class TestStationaryInit:
     def test_matches_declared_variances(self):
         op = laplacian_spec(6)

@@ -66,6 +66,21 @@ class TestHmmParams:
         with pytest.raises(ValueError, match="tau"):
             HmmParams(epsilon=0.001, macro_dt=0.1, micro_dt=0.01, T=1.0)  # tau = 10
 
+    def test_tau_cap_message_and_edge(self):
+        with pytest.raises(ValueError, match=r"^effective micro step tau=1\.5 exceeds 1\.0$"):
+            HmmParams(epsilon=0.02, macro_dt=0.1, micro_dt=0.03, T=1.0)
+        assert HmmParams(epsilon=0.02, macro_dt=0.1, micro_dt=0.02, T=1.0).tau == 1.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["epsilon", "macro_dt", "micro_dt", "T"])
+    def test_bad_scale_rejected_by_name(self, name, value):
+        # before: macro_dt=nan failed in run_hmm, T=inf raised OverflowError,
+        # epsilon=nan and micro_dt=nan surfaced as non-finite states
+        kw = dict(epsilon=1.0, macro_dt=0.1, micro_dt=0.01, T=1.0)
+        kw[name] = value
+        with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got"):
+            HmmParams(**kw)
+
 
 class TestEstimateFtilde:
     def test_y_independent_f_exact(self):
@@ -473,7 +488,7 @@ class TestChooseParams:
 
     def test_strong_regime_m1_branch(self):
         # tol = 0.1, r = kappa = 0: N = tol^{-3} = 1000, M = 1
-        p = choose_params(0.1, epsilon=1e-4, regime="strong", tau_max=1.0)
+        p = choose_params(0.1, epsilon=1e-4, regime="strong")
         assert p.M == 1
         assert p.N == 1000
         assert p.tau == pytest.approx(0.01, rel=1e-9)

@@ -73,6 +73,13 @@ class TestNoiseStreams:
         with pytest.raises(ValueError, match="positive"):
             draw_increments(NoiseStreams(keys, 15), [0.1, 0.0, 0.1], 15, 1)
 
+    @pytest.mark.parametrize("dt", [np.nan, [0.1, np.nan, 0.1]])
+    def test_nan_dt_rejected(self, dt):
+        # nan <= 0 is False: a NaN step must still fail the positivity check
+        keys = [derive_key(s, 0, 0, 1) for s in (4, 5, 6)]
+        with pytest.raises(ValueError, match="positive"):
+            draw_increments(NoiseStreams(keys, 15), dt, 15, 1)
+
     def test_keep_stops_trailing_streams(self):
         # the kept streams read on from where they were; the rest are dropped
         keys = [derive_key(7, 0, 0, j) for j in (1, 2, 3)]
