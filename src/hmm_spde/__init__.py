@@ -44,7 +44,6 @@ from .micro import (
     MicroRunResult,
     step_replicas,
     contraction_factor,
-    stationary_variance_linear,
     discrete_stationary_variances,
     run_micro,
 )
@@ -54,7 +53,6 @@ from .averaging import (
     gaussian_shifted,
     gaussian_discrete,
     pointwise_variance,
-    fbar_gaussian,
     fbar_sampled,
     run_averaged,
     reference_solution,

@@ -43,7 +43,6 @@ __all__ = [
     "gaussian_shifted",
     "gaussian_discrete",
     "pointwise_variance",
-    "fbar_gaussian",
     "FbarSampled",
     "fbar_sampled",
     "run_averaged",
@@ -62,9 +61,9 @@ FbarProvider = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class InvariantMeasureSpec:
-    """Product-Gaussian invariant law of the fast chain, one variance per mode."""
+    """Centered product-Gaussian invariant law of the fast chain, one variance
+    per mode; a law without this form goes through :func:`fbar_sampled`."""
 
-    kind: str  # gaussian_nu | gaussian_shifted | gaussian_discrete | sampled
     mode_variances: np.ndarray
 
     def __post_init__(self):
@@ -73,41 +72,28 @@ class InvariantMeasureSpec:
             raise ValueError("mode variances must be nonnegative")
         object.__setattr__(self, "mode_variances", v)
 
-    @property
-    def is_gaussian(self) -> bool:
-        return self.kind in ("gaussian_nu", "gaussian_shifted", "gaussian_discrete")
-
 
 def gaussian_nu(op_b: OperatorSpec) -> InvariantMeasureSpec:
     """Invariant law for g = 0: centered Gaussian with variances 1/(2 mu_k)."""
-    return InvariantMeasureSpec(
-        kind="gaussian_nu", mode_variances=1.0 / (2.0 * op_b.eigenvalues)
-    )
+    return InvariantMeasureSpec(mode_variances=1.0 / (2.0 * op_b.eigenvalues))
 
 
 def gaussian_shifted(op_b: OperatorSpec, c: float) -> InvariantMeasureSpec:
     """Invariant law for g = -c y: variances 1/(2 (mu_k + c))."""
     if c < 0:
         raise ValueError("drift coefficient must be nonnegative")
-    return InvariantMeasureSpec(
-        kind="gaussian_shifted", mode_variances=1.0 / (2.0 * (op_b.eigenvalues + c))
-    )
+    return InvariantMeasureSpec(mode_variances=1.0 / (2.0 * (op_b.eigenvalues + c)))
 
 
 def gaussian_discrete(op_b: OperatorSpec, tau: float) -> InvariantMeasureSpec:
     """Equilibrium law of the g = 0 chain at step tau: variances
     1/(2 mu_k + tau mu_k^2); the tau -> 0 limit is :func:`gaussian_nu`."""
-    return InvariantMeasureSpec(
-        kind="gaussian_discrete",
-        mode_variances=discrete_stationary_variances(tau, op_b),
-    )
+    return InvariantMeasureSpec(mode_variances=discrete_stationary_variances(tau, op_b))
 
 
 def pointwise_variance(measure: InvariantMeasureSpec, xi, K: int | None = None):
     """Variance of the invariant field at location(s) xi:
     sigma^2(xi) = sum_k 2 sin^2(k pi xi) var_k, truncated at K modes."""
-    if not measure.is_gaussian:
-        raise ValueError("pointwise variance needs a Gaussian measure")
     v = measure.mode_variances
     if K is not None:
         if K > v.size:
@@ -125,21 +111,6 @@ def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def fbar_gaussian(
-    spec: CoefficientSpec,
-    x: np.ndarray,
-    measure: InvariantMeasureSpec,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-) -> np.ndarray:
-    """Averaged coefficient under a product-Gaussian invariant law.
-
-    One call of the :func:`make_gaussian_fbar` provider on ``x``: integrates
-    f(xi_i, x(xi_i), .) against N(0, sigma^2(xi_i)) at every grid point with
-    Gauss-Hermite quadrature, then transforms to coefficients.
-    """
-    return make_gaussian_fbar(spec, measure, quad_order)(x)
 
 
 @dataclass(frozen=True)
@@ -278,17 +249,13 @@ def make_gaussian_fbar(
     measure: InvariantMeasureSpec,
     quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> FbarProvider:
-    """Bind the quadrature oracle into an fbar provider x -> fbar(x).
+    """The quadrature oracle x -> fbar(x) under ``measure``: at each grid point
+    xi_i it integrates f(xi_i, x(xi_i), .) against N(0, sigma^2(xi_i)) by
+    Gauss-Hermite quadrature, then transforms to coefficients.
 
-    It acts row-wise on a (..., K) stack, as :data:`FbarProvider` requires.
-    The quadrature's y-samples sqrt(2) sigma(xi) t_q depend on K only, so
-    the provider builds them once per K; this is the right entry point for
-    time-stepping loops that call the oracle once per step.
+    It acts row-wise on a (..., K) stack, as :data:`FbarProvider` requires,
+    and builds the y-samples sqrt(2) sigma(xi) t_q once per K.
     """
-    if not measure.is_gaussian:
-        raise ValueError(
-            "quadrature averaging needs a Gaussian measure; use fbar_sampled instead"
-        )
     nodes, weights = _hermgauss(quad_order)
     # K -> (xi as a column, y-samples sqrt(2) sigma_i t_q per grid point and node)
     cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}

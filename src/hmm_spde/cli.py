@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import fbar_gaussian, fbar_sampled
+from .averaging import fbar_sampled, make_gaussian_fbar
 from .coefficients import PRESET_NAMES, preset
 from .direct import run_direct
 from .experiments import (
@@ -182,7 +182,7 @@ def _cmd_fbar(args) -> None:
         )
         values, stderr = res.grid_values, res.grid_stderr
     else:
-        values = to_grid(fbar_gaussian(coeffs, x0, measure))
+        values = to_grid(make_gaussian_fbar(coeffs, measure)(x0))
         stderr = np.zeros(K)
     path = out_dir / "fbar.csv"
     with path.open("w", newline="") as fh:
@@ -196,7 +196,10 @@ def _cmd_fbar(args) -> None:
 def _cmd_rates(args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = EXPERIMENTS[args.experiment](args)
+    try:
+        result = EXPERIMENTS[args.experiment](args)
+    except ValueError as exc:  # e.g. --seeds below the experiment's minimum
+        raise SystemExit(f"hmm-spde rates: {exc}") from None
     reports = ((result.strong, result.weak) if isinstance(result, AveragingReport)
                else (result,))
     for report in reports:

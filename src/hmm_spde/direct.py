@@ -161,7 +161,7 @@ def run_direct(
         L = sum(n > done for n in steps)  # live rows
         streams.keep(L)
         n_chunk = min(chunk, steps[L - 1] - done)
-        incr = draw_increments(streams, tau[:L, 0], K, n_chunk,
+        incr = draw_increments(streams, tau[:L, 0], n_chunk,
                                out=buf[:n_chunk * L * K].reshape(n_chunk, L, K))
         XY_l = XY[:, :L].copy()  # the live rows, contiguous for the transforms
         X_l, Y_l = XY_l

@@ -22,7 +22,6 @@ from .averaging import (
     gaussian_discrete,
     gaussian_nu,
     gaussian_shifted,
-    fbar_gaussian,
     make_gaussian_fbar,
     reference_solution,
     run_averaged,
@@ -185,18 +184,18 @@ def default_x0(K: int) -> np.ndarray:
     return x0
 
 
-def _setup(problem: str, K: int, quad_order: int):
+def _setup(problem: str, K: int):
     """(op, coeffs, fbar, x0): the K-mode Laplacian, which serves as both A
     and B, the preset's coefficients, their quadrature oracle under
     :func:`_oracle_measure` and :func:`default_x0`."""
     op = laplacian_spec(K)
     coeffs = preset(problem)
-    fbar = make_gaussian_fbar(coeffs, _oracle_measure(coeffs, op), quad_order=quad_order)
+    fbar = make_gaussian_fbar(coeffs, _oracle_measure(coeffs, op))
     return op, coeffs, fbar, default_x0(K)
 
 
 def _cos_first_mode(K: int) -> TestFunctional:
-    """cos(<x, e_1>), the default functional of the weak errors."""
+    """cos(<x, e_1>), the observable of the weak errors."""
     h = np.zeros(K)
     h[0] = 1.0
     return TestFunctional(kind="cos_inner", h=h)
@@ -268,7 +267,6 @@ def macro_order_experiment(
     T: float = 0.5,
     dt_list=None,
     problem: str = "p1",
-    quad_order: int = 40,
     fine_factor: int = 64,
     x0: np.ndarray | None = None,
 ) -> RateReport:
@@ -284,7 +282,7 @@ def macro_order_experiment(
     for dt in dt_list:
         if dt <= 0 or abs(round(T / dt) * dt - T) > 1e-9 * T:
             raise ValueError(f"dt={dt} must be positive and divide T={T}")
-    op, coeffs, fbar, default = _setup(problem, K, quad_order)
+    op, coeffs, fbar, default = _setup(problem, K)
     if coeffs.has_g:
         raise ValueError("macro-order experiment needs the Gaussian oracle (g = 0)")
     if x0 is None:
@@ -334,26 +332,25 @@ def strong_error_experiment(
     epsilon: float = 1e-6,
     n_seeds: int = 64,
     seed: int = 2024,
-    quad_order: int = 40,
-    stationary_init: bool = True,
 ) -> RateReport:
     """Trajectory error of the multiscale run against the oracle-averaged
     scheme at the same coarse step, swept over one of {M, N, n_T, tau}.
 
     Measures E|X_{n0} - Xbar_{n0}| over ``n_seeds`` independent runs per
-    sweep value.  With ``stationary_init`` each replica's fast field starts
-    at the exact discrete stationary law (g = 0 only), isolating the
-    Monte-Carlo fluctuation term from warm-up bias.  The seeds of one sweep
-    value run as one batched :func:`run_hmm` call, which equals the per-seed
-    runs bit for bit.  ``n_seeds`` < 2 (no standard error) raises ValueError.
+    sweep value.  Each replica's fast field starts at the exact discrete
+    stationary law of the g = 0 chain (a problem with g != 0 raises
+    ValueError), isolating the Monte-Carlo fluctuation term from warm-up
+    bias.  The seeds of one sweep value run as one batched :func:`run_hmm`
+    call, which equals the per-seed runs bit for bit.  ``n_seeds`` < 2 (no
+    standard error) raises ValueError.
     """
     t0 = time.perf_counter()
     if sweep not in ("M", "N", "n_T", "tau"):
         raise ValueError(f"sweep must be one of M, N, n_T, tau; got {sweep!r}")
     _check_n_seeds(n_seeds)
-    op, coeffs, fbar, x0 = _setup(problem, K, quad_order)
-    if stationary_init and coeffs.has_g:
-        raise ValueError("stationary_init draws from the g = 0 law; disable it for g != 0")
+    op, coeffs, fbar, x0 = _setup(problem, K)
+    if coeffs.has_g:
+        raise ValueError(f"the stationary start needs g = 0; {problem!r} has g != 0")
 
     # the swept parameter changes neither macro_dt nor n_0: one reference
     base = HmmParams(epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau, T=T,
@@ -366,11 +363,8 @@ def strong_error_experiment(
         else:
             params = replace(base, **{sweep: int(v)})
         seeds = [mix_seed(seed, ip, s) for s in range(n_seeds)]
-        if stationary_init:
-            y0 = np.stack([sample_stationary_linear(s, params.tau, op, params.M)
-                           for s in seeds])
-        else:
-            y0 = np.zeros(K)
+        y0 = np.stack([sample_stationary_linear(s, params.tau, op, params.M)
+                       for s in seeds])
         run = run_hmm(x0, y0, coeffs, op, op, params, seeds)
         # per-seed norms: an axis-wise norm sums in another order
         error, stderr = _mean_stderr([np.linalg.norm(x - xbar) for x in run.X_final])
@@ -386,7 +380,7 @@ def strong_error_experiment(
         np.full(len(sweep_values), n_seeds),
         t0,
         {"problem": problem, "K": K, "T": T, "macro_dt": macro_dt, "tau": tau,
-         "N": N, "M": M, "n_T": n_T, "seed": seed, "stationary_init": stationary_init},
+         "N": N, "M": M, "n_T": n_T, "seed": seed, "stationary_init": True},
     )
 
 
@@ -398,7 +392,6 @@ def warmup_bias_experiment(
     M: int = 65536,
     displacement: float = 0.8,
     seed: int = 77,
-    quad_order: int = 40,
 ) -> RateReport:
     """Bias of the window estimator against its own equilibrium mean as the
     warm-up length grows (window N = 1).
@@ -420,7 +413,7 @@ def warmup_bias_experiment(
         raise ValueError("warm-up bias experiment needs the g = 0 oracle")
     measure = gaussian_discrete(op_b, tau)
     x0 = default_x0(K)
-    fbar_grid = to_grid(fbar_gaussian(coeffs, x0, measure, quad_order=quad_order))
+    fbar_grid = to_grid(make_gaussian_fbar(coeffs, measure)(x0))
 
     xi = grid_points(K)
     x_grid = to_grid(x0)
@@ -472,10 +465,9 @@ def weak_error_experiment(
     epsilon: float = 1e-6,
     n_seeds: int = 64,
     seed: int = 4242,
-    functional: TestFunctional | None = None,
-    quad_order: int = 40,
 ) -> RateReport:
-    """Law-level error |E Phi(X_{n0}) - Phi(Xbar_{n0})| swept over tau or n_T.
+    """Law-level error |E Phi(X_{n0}) - Phi(Xbar_{n0})| of Phi(x) = cos(<x, e_1>),
+    swept over tau or n_T.
 
     For the tau sweep the warm-up keeps n_T * tau = ``warmup_time`` fixed so
     the equilibration bias stays flat while the invariant-law mismatch scales.
@@ -488,9 +480,8 @@ def weak_error_experiment(
     if sweep not in ("tau", "n_T"):
         raise ValueError(f"sweep must be 'tau' or 'n_T', got {sweep!r}")
     _check_n_seeds(n_seeds)
-    op, coeffs, fbar, x0 = _setup(problem, K, quad_order)
-    if functional is None:
-        functional = _cos_first_mode(K)
+    op, coeffs, fbar, x0 = _setup(problem, K)
+    functional = _cos_first_mode(K)
 
     # the swept parameter changes neither macro_dt nor n_0: one reference
     base = HmmParams(epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau, T=T)
@@ -535,8 +526,6 @@ def averaging_experiment(
     tau_direct: float = 0.002,
     n_seeds: int = 32,
     seed: int = 913,
-    functional: TestFunctional | None = None,
-    quad_order: int = 40,
     reference_fine_dt: float | None = None,
 ) -> AveragingReport:
     """Distance between the resolved two-scale system and the averaged flow
@@ -545,17 +534,16 @@ def averaging_experiment(
     The direct solver runs at dt = epsilon * tau_direct (fixed effective fast
     step) so its discretization bias stays flat across the sweep; the
     averaged reference comes from fine deterministic integration with the
-    quadrature oracle.  Reports the trajectory (strong) and observable (weak)
-    errors against epsilon.  The whole sweep is one :func:`run_direct`
-    call: its rows are (epsilon, seed) pairs with per-row epsilon and dt,
+    quadrature oracle.  Reports the trajectory (strong) error and the weak
+    error of cos(<x, e_1>) against epsilon.  The whole sweep is one
+    :func:`run_direct` call: its rows are (epsilon, seed) pairs with per-row epsilon and dt,
     stepped in lock step, and each row equals its single run bit for bit.
     ``n_seeds`` < 2 (no standard error) raises ValueError.
     """
     t0 = time.perf_counter()
     _check_n_seeds(n_seeds)
-    op, coeffs, fbar, x0 = _setup(problem, K, quad_order)
-    if functional is None:
-        functional = _cos_first_mode(K)
+    op, coeffs, fbar, x0 = _setup(problem, K)
+    functional = _cos_first_mode(K)
     if reference_fine_dt is None:
         reference_fine_dt = T / 2048
     ref = reference_solution(x0, fbar, op, T, reference_fine_dt)

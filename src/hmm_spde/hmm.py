@@ -204,7 +204,7 @@ def _increments(
     done = 0
     while done < total:
         n = min(chunk, total - done)
-        draw_increments(streams, params.tau, K, n, out=buf[:n].reshape(n, S * M, K))
+        draw_increments(streams, params.tau, n, out=buf[:n].reshape(n, S * M, K))
         yield from buf[:n]
         done += n
 

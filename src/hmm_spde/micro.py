@@ -35,7 +35,6 @@ __all__ = [
     "MicroRunResult",
     "step_replicas",
     "contraction_factor",
-    "stationary_variance_linear",
     "discrete_stationary_variances",
     "run_micro",
 ]
@@ -87,8 +86,8 @@ def contraction_factor(tau: float, lipschitz_g: float, mu: float) -> float:
     Requires strict dissipativity L < mu; two chains driven by the same noise
     satisfy |y1' - y2'|^2 <= rho |y1 - y2|^2 pathwise.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if lipschitz_g < 0:
         raise ValueError("Lipschitz constant must be nonnegative")
     if lipschitz_g >= mu:
@@ -98,24 +97,12 @@ def contraction_factor(tau: float, lipschitz_g: float, mu: float) -> float:
     return (1.0 + tau * lipschitz_g) / (1.0 + tau * (2.0 * mu - lipschitz_g))
 
 
-def stationary_variance_linear(mode: int, tau: float, op_b: OperatorSpec) -> float:
-    """Stationary variance of mode k for the g = 0 chain: 1/(2 mu_k + tau mu_k^2).
-
-    Fixed point of v = a^2 (v + tau) with a = 1/(1 + tau mu_k); tends to the
-    invariant variance 1/(2 mu_k) of the continuous chain as tau -> 0.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not 1 <= mode <= op_b.mode_count:
-        raise ValueError(f"mode {mode} outside 1..{op_b.mode_count}")
-    mu = float(op_b.eigenvalues[mode - 1])
-    return 1.0 / (2.0 * mu + tau * mu**2)
-
-
 def discrete_stationary_variances(tau: float, op_b: OperatorSpec) -> np.ndarray:
-    """All-mode version of :func:`stationary_variance_linear`."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    """Stationary variances 1/(2 mu_k + tau mu_k^2) of the g = 0 chain: the fixed
+    points of v = a_k^2 (v + tau), a_k = 1/(1 + tau mu_k); they tend to the
+    continuous chain's 1/(2 mu_k) as tau -> 0."""
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     mu = op_b.eigenvalues
     return 1.0 / (2.0 * mu + tau * mu**2)
 
@@ -180,7 +167,7 @@ def run_micro(
     done = 0
     while done < steps:
         n_chunk = min(_CHUNK_STEPS, steps - done)
-        z = draw_increments(streams, tau, K, n_chunk, out=buf[:n_chunk])[:, 0]
+        z = draw_increments(streams, tau, n_chunk, out=buf[:n_chunk])[:, 0]
         for i in range(n_chunk):
             y = step_replicas(y, x_grid, xi, z[i], res, tau, coeffs)
             z[i] = y  # row i now holds the state after step done + i + 1

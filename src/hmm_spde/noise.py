@@ -186,26 +186,23 @@ def standard_normals(key: NoiseStreamKey, K: int, count: int = 1) -> np.ndarray:
 def draw_increments(
     streams: NoiseStreams,
     dt: float | Sequence[float],
-    K: int,
     count: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Increments over the next ``count`` steps of length ``dt`` of every stream.
 
-    Shape (count, streams, K): sqrt(dt) times the next standard normals of
-    the open ``streams``, written into ``out`` when it is given.  ``dt`` is
-    one step for all streams (a number) or one step per stream (a
-    sequence); a dt that is not positive, NaN included, raises ValueError.
-    Both forms scale by the correctly rounded ``np.sqrt``, so a stream's
+    Shape (count, streams, streams.K): sqrt(dt) times the next standard
+    normals of the open ``streams``, written into ``out`` when it is given.
+    ``dt`` is one step for all streams (a number) or one step per stream (a
+    sequence); a dt that is not positive and finite raises ValueError.  Both
+    forms scale by the correctly rounded ``np.sqrt``, so a stream's
     increments do not depend on the form its dt came in.
     """
     dt = np.asarray(dt, dtype=float)
-    if dt.shape not in ((), (len(streams._gens),)) or not (dt > 0).all():
-        raise ValueError(f"dt must be positive, one step for all streams or one step "
-                         f"per stream, got {dt}")
+    if dt.shape not in ((), (len(streams._gens),)) or not ((dt > 0) & (dt < np.inf)).all():
+        raise ValueError(f"dt must be positive and finite, one step for all streams "
+                         f"or one step per stream, got {dt}")
     scale = np.sqrt(dt)[..., None]  # (1,) or a (streams, 1) column
-    if streams.K != K:
-        raise ValueError(f"streams draw {streams.K} modes, asked for {K}")
     z = streams.standard_normals(count, out)
     np.multiply(z, scale, out=z)
     return z

@@ -53,7 +53,6 @@ class OperatorSpec:
     """
 
     eigenvalues: np.ndarray
-    basis_kind: str = "dirichlet_sine"
 
     def __post_init__(self):
         eig = np.array(self.eigenvalues, dtype=float)
@@ -68,11 +67,11 @@ class OperatorSpec:
         object.__setattr__(self, "_denominators", {})
 
     def __eq__(self, other):
-        return (isinstance(other, OperatorSpec) and self.basis_kind == other.basis_kind
+        return (isinstance(other, OperatorSpec)
                 and np.array_equal(self.eigenvalues, other.eigenvalues))
 
     def __hash__(self):
-        return hash((self.basis_kind, self.eigenvalues.tobytes()))
+        return hash(self.eigenvalues.tobytes())
 
     def euler_denominator(self, step: float) -> np.ndarray:
         """1 + step * eigenvalues, checked and computed once per step size."""

@@ -40,7 +40,7 @@ def test_c01_linear_fast_invariant_law():
     worst = 0.0
     ok = True
     for k in (1, 2, 5, 20):
-        v_th = hs.stationary_variance_linear(k, tau, op)
+        v_th = hs.discrete_stationary_variances(tau, op)[k - 1]
         v_emp = res.mode_second_moment[k - 1] - res.mode_mean[k - 1] ** 2
         a = 1 / (1 + tau * op.eigenvalues[k - 1])
         se = v_th * math.sqrt(2 * (1 + a**2) / (1 - a**2) / window)
@@ -162,7 +162,7 @@ def test_c07_averaged_coefficient_oracle():
     )
     measure = hs.gaussian_nu(op)
     i_mid = K // 2  # xi = 32/64 = 1/2 exactly
-    quad = to_grid(hs.fbar_gaussian(spec, np.zeros(K), measure))[i_mid]
+    quad = to_grid(hs.make_gaussian_fbar(spec, measure)(np.zeros(K)))[i_mid]
     sigma2 = hs.pointwise_variance(measure, 0.5)
     exact = math.exp(-sigma2 / 2)
     gap = abs(quad - exact)

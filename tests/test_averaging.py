@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from hmm_spde.averaging import (
-    InvariantMeasureSpec,
-    fbar_gaussian,
     fbar_sampled,
     gaussian_discrete,
     gaussian_nu,
@@ -72,11 +70,6 @@ class TestPointwiseVariance:
         for x, v in zip(xs, vec):
             assert v == pytest.approx(pointwise_variance(m, float(x)), rel=1e-12)
 
-    def test_sampled_kind_rejected(self):
-        m = InvariantMeasureSpec(kind="sampled", mode_variances=np.ones(3))
-        with pytest.raises(ValueError):
-            pointwise_variance(m, 0.5)
-
 
 class TestFbarGaussian:
     def test_odd_integrand_vanishes(self):
@@ -85,7 +78,7 @@ class TestFbarGaussian:
             sup_f=1.0, sup_g=0.0, lipschitz_g_y=0.0,
         )
         K = 31
-        out = fbar_gaussian(spec, np.zeros(K), gaussian_nu(laplacian_spec(K)))
+        out = make_gaussian_fbar(spec, gaussian_nu(laplacian_spec(K)))(np.zeros(K))
         assert h_norm(out) < 1e-13
 
     def test_cos_matches_characteristic_function(self):
@@ -93,7 +86,7 @@ class TestFbarGaussian:
         K = 63
         op = laplacian_spec(K)
         m = gaussian_nu(op)
-        out_grid = to_grid(fbar_gaussian(cos_only_spec(), np.zeros(K), m))
+        out_grid = to_grid(make_gaussian_fbar(cos_only_spec(), m)(np.zeros(K)))
         xi = grid_points(K)
         expected = np.exp(-pointwise_variance(m, xi) / 2)
         np.testing.assert_allclose(out_grid, expected, atol=1e-12)
@@ -102,7 +95,7 @@ class TestFbarGaussian:
         # with many modes the center value approaches exp(-1/16)
         K = 4095
         m = gaussian_nu(laplacian_spec(K))
-        out_grid = to_grid(fbar_gaussian(cos_only_spec(), np.zeros(K), m))
+        out_grid = to_grid(make_gaussian_fbar(cos_only_spec(), m)(np.zeros(K)))
         center = out_grid[K // 2]
         assert center == pytest.approx(np.exp(-1 / 16), abs=1e-4)
 
@@ -116,7 +109,7 @@ class TestFbarGaussian:
         x = rng.standard_normal(K) * 0.3
         from hmm_spde.coefficients import eval_F
 
-        out = fbar_gaussian(spec, x, gaussian_nu(laplacian_spec(K)))
+        out = make_gaussian_fbar(spec, gaussian_nu(laplacian_spec(K)))(x)
         np.testing.assert_allclose(out, eval_F(spec, x, np.zeros(K)), atol=1e-13)
 
     def test_quadrature_order_converged(self):
@@ -124,26 +117,21 @@ class TestFbarGaussian:
         m = gaussian_nu(laplacian_spec(K))
         rng = np.random.default_rng(1)
         x = rng.standard_normal(K) * 0.5
-        a = fbar_gaussian(preset("p1"), x, m, quad_order=40)
-        b = fbar_gaussian(preset("p1"), x, m, quad_order=80)
+        a = make_gaussian_fbar(preset("p1"), m, quad_order=40)(x)
+        b = make_gaussian_fbar(preset("p1"), m, quad_order=80)(x)
         assert h_norm(a - b) < 1e-8
-
-    def test_non_gaussian_rejected(self):
-        m = InvariantMeasureSpec(kind="sampled", mode_variances=np.ones(4))
-        with pytest.raises(ValueError):
-            fbar_gaussian(preset("p1"), np.zeros(4), m)
 
     def test_lipschitz_in_x(self):
         # |fbar(x1) - fbar(x2)| <= sup|d f/d x| |x1 - x2| + quadrature noise;
         # for p1 the x-derivative bound is sup |2 x e^{-x^2}| = sqrt(2/e)
         K = 31
-        m = gaussian_nu(laplacian_spec(K))
+        fbar = make_gaussian_fbar(preset("p1"), gaussian_nu(laplacian_spec(K)))
         lf = np.sqrt(2 / np.e)
         rng = np.random.default_rng(2)
         for _ in range(10):
             x1 = rng.standard_normal(K)
             x2 = rng.standard_normal(K)
-            d = h_norm(fbar_gaussian(preset("p1"), x1, m) - fbar_gaussian(preset("p1"), x2, m))
+            d = h_norm(fbar(x1) - fbar(x2))
             assert d <= lf * h_norm(x1 - x2) + 1e-10
 
     def test_bounded(self):
@@ -151,7 +139,7 @@ class TestFbarGaussian:
         m = gaussian_nu(laplacian_spec(K))
         rng = np.random.default_rng(3)
         for _ in range(5):
-            out = fbar_gaussian(preset("p1"), rng.standard_normal(K), m)
+            out = make_gaussian_fbar(preset("p1"), m)(rng.standard_normal(K))
             assert h_norm(out) <= 1.0
 
 
@@ -174,11 +162,11 @@ class TestStackedProviders:
         spec, m = self.measure(problem, op)
         x = np.random.default_rng(K * 10 + R).standard_normal((R, K))
         fbar = make_gaussian_fbar(spec, m)
-        stacked, direct = fbar(x), fbar_gaussian(spec, x, m)
+        stacked, direct = fbar(x), make_gaussian_fbar(spec, m)(x)
         assert stacked.shape == direct.shape == (R, K)
         for r in range(R):
             np.testing.assert_array_equal(stacked[r], fbar(x[r]))
-            np.testing.assert_array_equal(direct[r], fbar_gaussian(spec, x[r], m))
+            np.testing.assert_array_equal(direct[r], make_gaussian_fbar(spec, m)(x[r]))
         np.testing.assert_array_equal(stacked, direct)
 
 
@@ -212,7 +200,7 @@ class TestFbarSampled:
         tau = 0.002
         x0 = np.zeros(K)
         res = fbar_sampled(spec, x0, op, tau, 200_000, derive_key(5, 0, 0, 1))
-        oracle = to_grid(fbar_gaussian(spec, x0, gaussian_discrete(op, tau)))
+        oracle = to_grid(make_gaussian_fbar(spec, gaussian_discrete(op, tau))(x0))
         i = K // 2  # xi = 1/2 exactly
         assert abs(res.grid_values[i] - oracle[i]) <= 4 * res.grid_stderr[i]
 
@@ -226,7 +214,7 @@ class TestFbarSampled:
         tau = 0.002
         x0 = np.zeros(K)
         res = fbar_sampled(spec, x0, op, tau, 200_000, derive_key(6, 0, 0, 1))
-        oracle = to_grid(fbar_gaussian(spec, x0, gaussian_shifted(op, 1.0)))
+        oracle = to_grid(make_gaussian_fbar(spec, gaussian_shifted(op, 1.0))(x0))
         i = K // 2
         assert abs(res.grid_values[i] - oracle[i]) <= 4 * res.grid_stderr[i]
 

@@ -189,7 +189,7 @@ class TestRatesTable:
 
     @pytest.mark.parametrize("name", ["strong_m", "weak_tau", "averaging"])
     def test_one_seed_rejected(self, tmp_path, name):
-        with pytest.raises(ValueError, match="n_seeds must be >= 2"):
+        with pytest.raises(SystemExit, match="^hmm-spde rates: n_seeds must be >= 2"):
             main(["rates", "--experiment", name, "--seeds", "1",
                   "--out-dir", str(tmp_path)])
         assert list(tmp_path.iterdir()) == []

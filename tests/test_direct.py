@@ -9,7 +9,7 @@ import hmm_spde.direct as direct_mod
 from hmm_spde.averaging import run_averaged
 from hmm_spde.coefficients import CoefficientSpec, eval_F, eval_G, preset
 from hmm_spde.direct import DIRECT_STREAM_TAG, run_direct
-from hmm_spde.micro import stationary_variance_linear
+from hmm_spde.micro import discrete_stationary_variances
 from hmm_spde.experiments import default_x0
 from hmm_spde.noise import derive_key, mix_seed, standard_normals
 from hmm_spde.spectral import laplacian_spec
@@ -189,7 +189,7 @@ class TestRunDirect:
                              epsilon=eps, dt=dt, T=steps * dt, seed=mix_seed(8, r))
             finals[r] = run.final_Y
         a1 = 1 / (1 + tau * op.eigenvalues[0])
-        v_inf = stationary_variance_linear(1, tau, op)
+        v_inf = discrete_stationary_variances(tau, op)[0]
         v_m = v_inf * (1 - a1 ** (2 * steps))
         emp_v = finals[:, 0].var(ddof=1)
         assert abs(finals[:, 0].mean()) <= 4 * np.sqrt(v_m / R)

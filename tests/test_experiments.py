@@ -286,6 +286,18 @@ class TestStrongError:
         with pytest.raises(ValueError):
             strong_error_experiment(sweep="Q")
 
+    def test_g_nonzero_rejected_before_any_work(self, monkeypatch):
+        # replicas start from the stationary law of the g = 0 chain; p3 has
+        # a Gaussian oracle but g = -y, so it must fail before any run
+        import hmm_spde.experiments as exp_mod
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the experiment started work")
+
+        monkeypatch.setattr(exp_mod, "run_hmm", no_work)
+        with pytest.raises(ValueError, match="g = 0"):
+            strong_error_experiment(problem="p3", K=7, n_seeds=2)
+
     def test_rows_equal_per_seed_loop(self):
         # the batched seeds give the same rows, bit for bit, as one run_hmm
         # call per seed; at this K and seed an axis-wise norm over the stack

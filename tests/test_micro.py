@@ -11,7 +11,6 @@ from hmm_spde.micro import (
     contraction_factor,
     discrete_stationary_variances,
     run_micro,
-    stationary_variance_linear,
     step_replicas,
 )
 from hmm_spde.noise import derive_key, standard_normals
@@ -191,6 +190,12 @@ class TestContractionFactor:
         assert all(a < b for a, b in zip(rhos, rhos[1:]))
         assert rhos[-1] > 0.99
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_tau_rejected(self, tau):
+        # a NaN or infinite step would give rho = NaN
+        with pytest.raises(ValueError, match="positive"):
+            contraction_factor(tau, 1.0, PI2)
+
     def test_violation_rejected(self):
         with pytest.raises(ValueError, match="dissipativity"):
             contraction_factor(0.1, PI2, PI2)
@@ -208,7 +213,7 @@ class TestContractionFactor:
 class TestStationaryVariance:
     def test_mode1_example(self):
         op = laplacian_spec(4)
-        v1 = stationary_variance_linear(1, 0.01, op)
+        v1 = discrete_stationary_variances(0.01, op)[0]
         assert v1 == pytest.approx(1 / (2 * PI2 + 0.01 * PI2**2), rel=1e-13)
         assert v1 == pytest.approx(0.048278, abs=1e-6)
 
@@ -216,21 +221,21 @@ class TestStationaryVariance:
         op = laplacian_spec(3)
         tau = 0.07
         for k in (1, 2, 3):
-            v = stationary_variance_linear(k, tau, op)
+            v = discrete_stationary_variances(tau, op)[k - 1]
             a = 1 / (1 + tau * op.eigenvalues[k - 1])
             assert v == pytest.approx(a**2 * (v + tau), rel=1e-12)
 
     def test_tau_to_zero_limit(self):
         op = laplacian_spec(2)
         for k in (1, 2):
-            v = stationary_variance_linear(k, 1e-10, op)
+            v = discrete_stationary_variances(1e-10, op)[k - 1]
             assert v == pytest.approx(1 / (2 * op.eigenvalues[k - 1]), rel=1e-8)
 
-    def test_vector_version_matches(self):
-        op = laplacian_spec(5)
-        vs = discrete_stationary_variances(0.02, op)
-        for k in range(1, 6):
-            assert vs[k - 1] == stationary_variance_linear(k, 0.02, op)
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_tau_rejected(self, tau):
+        # an infinite step would give all-zero variances, a NaN one NaN ones
+        with pytest.raises(ValueError, match="positive"):
+            discrete_stationary_variances(tau, laplacian_spec(3))
 
     def test_long_run_empirical_variance(self):
         # mode-1 variance over 2e5 steps within 4 standard errors of the
@@ -244,7 +249,7 @@ class TestStationaryVariance:
             warmup=2000, track_mode_moments=True,
         )
         v_emp = res.mode_second_moment[0] - res.mode_mean[0] ** 2
-        v = stationary_variance_linear(1, tau, op)
+        v = discrete_stationary_variances(tau, op)[0]
         a = 1 / (1 + tau * op.eigenvalues[0])
         n_eff = res.window_size
         se = v * np.sqrt(2 * (1 + a**2) / (1 - a**2) / n_eff)
@@ -353,7 +358,7 @@ class TestRunMicro:
             np.zeros(K), np.zeros(K), n, derive_key(17, 0, 0, 1), spec_y, op, tau,
             warmup=2000,
         )
-        v1 = stationary_variance_linear(1, tau, op)
+        v1 = discrete_stationary_variances(tau, op)[0]
         a = 1 / (1 + tau * op.eigenvalues[0])
         # variance of the mean of an AR(1) window ~ (v/n) (1+a)/(1-a)
         se = np.sqrt(v1 / res.window_size * (1 + a) / (1 - a))

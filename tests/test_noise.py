@@ -20,7 +20,7 @@ class TestDeterminism:
 
     def test_batch_matches_per_step(self):
         key = derive_key(11, 0, 0, 1, steps_per_macro=100)
-        block = draw_increments(NoiseStreams([key], 63), 0.5, 63, 20)[:, 0]
+        block = draw_increments(NoiseStreams([key], 63), 0.5, 20)[:, 0]
         for m in range(20):
             single = standard_normals(key.advanced(m), 63) * np.sqrt(0.5)
             np.testing.assert_array_equal(block[m], single)
@@ -54,31 +54,33 @@ class TestNoiseStreams:
     def test_increments_into_buffer(self):
         keys = [derive_key(9, 1, 0, j, steps_per_macro=6) for j in (1, 2)]
         buf = np.empty((6, 2, 7))
-        out = draw_increments(NoiseStreams(keys, 7), 0.25, 7, 6, out=buf)
+        out = draw_increments(NoiseStreams(keys, 7), 0.25, 6, out=buf)
         assert out is buf
         for i, key in enumerate(keys):
             np.testing.assert_array_equal(buf[:, i], standard_normals(key, 7, count=6) * np.sqrt(0.25))
 
     def test_per_stream_dt(self):
-        # one step per stream scales stream i by math.sqrt(dt[i]), the same
+        # one step per stream scales stream i by np.sqrt(dt[i]), the same
         # bits as a draw from that stream alone with the float dt
         keys = [derive_key(s, 0, 0, 1, stream_tag=1) for s in (4, 5, 6)]
         dts = [0.1, 0.03 * 0.1 / 0.03, 1e-3]
-        got = draw_increments(NoiseStreams(keys, 15), dts, 15, 5)
+        got = draw_increments(NoiseStreams(keys, 15), dts, 5)
         for i, (key, dt) in enumerate(zip(keys, dts)):
-            one = draw_increments(NoiseStreams([key], 15), dt, 15, 5)[:, 0]
+            one = draw_increments(NoiseStreams([key], 15), dt, 5)[:, 0]
             np.testing.assert_array_equal(got[:, i], one)
         with pytest.raises(ValueError, match="one step per stream"):
-            draw_increments(NoiseStreams(keys, 15), dts[:2], 15, 1)
+            draw_increments(NoiseStreams(keys, 15), dts[:2], 1)
         with pytest.raises(ValueError, match="positive"):
-            draw_increments(NoiseStreams(keys, 15), [0.1, 0.0, 0.1], 15, 1)
+            draw_increments(NoiseStreams(keys, 15), [0.1, 0.0, 0.1], 1)
 
-    @pytest.mark.parametrize("dt", [np.nan, [0.1, np.nan, 0.1]])
+    @pytest.mark.parametrize("dt", [np.nan, [0.1, np.nan, 0.1],
+                                    np.inf, [0.1, np.inf, 0.1]])
     def test_nan_dt_rejected(self, dt):
-        # nan <= 0 is False: a NaN step must still fail the positivity check
+        # nan <= 0 is False: a NaN step must still fail the positivity
+        # check, and an infinite one must not give infinite increments
         keys = [derive_key(s, 0, 0, 1) for s in (4, 5, 6)]
         with pytest.raises(ValueError, match="positive"):
-            draw_increments(NoiseStreams(keys, 15), dt, 15, 1)
+            draw_increments(NoiseStreams(keys, 15), dt, 1)
 
     def test_keep_stops_trailing_streams(self):
         # the kept streams read on from where they were; the rest are dropped
@@ -97,8 +99,6 @@ class TestNoiseStreams:
         streams = NoiseStreams([derive_key(1, 0, 0, 1)], 4)
         with pytest.raises(ValueError, match="out"):
             streams.standard_normals(2, out=np.empty((2, 1, 5)))
-        with pytest.raises(ValueError, match="modes"):
-            draw_increments(streams, 0.1, 5, 2)
         with pytest.raises(ValueError, match="no stream keys"):
             NoiseStreams([], 4)
 
@@ -134,9 +134,9 @@ class TestKeyStructure:
     def test_dt_positive(self):
         streams = NoiseStreams([derive_key(0, 0, 0, 1)], 4)
         with pytest.raises(ValueError):
-            draw_increments(streams, 0.0, 4, 1)
+            draw_increments(streams, 0.0, 1)
         with pytest.raises(ValueError):
-            draw_increments(streams, -1.0, 4, 1)
+            draw_increments(streams, -1.0, 1)
 
     def test_stream_tag_separates(self):
         a = standard_normals(derive_key(0, 0, 0, 1, stream_tag=0), 8)
@@ -149,13 +149,13 @@ class TestStatistics:
         # 1e5 draws of mode 1 at dt = 0.01: sample variance inside the 4-sigma
         # band [0.0094, 0.0106] for chi^2 sampling error
         streams = NoiseStreams([derive_key(314, 0, 0, 1)], 4)
-        block = draw_increments(streams, 0.01, 4, 100_000)[:, 0]
+        block = draw_increments(streams, 0.01, 100_000)[:, 0]
         var = block[:, 0].var(ddof=1)
         assert 0.0094 <= var <= 0.0106
 
     def test_mean_near_zero(self):
         streams = NoiseStreams([derive_key(314, 0, 0, 1)], 4)
-        block = draw_increments(streams, 0.01, 4, 100_000)[:, 0]
+        block = draw_increments(streams, 0.01, 100_000)[:, 0]
         # 4 sigma band for the mean of N(0, 0.01) over 1e5 draws
         assert abs(block[:, 0].mean()) <= 4 * 0.1 / np.sqrt(100_000)
 
