@@ -62,7 +62,6 @@ from .hmm import (
     HmmParams,
     CostReport,
     HmmRun,
-    estimate_ftilde,
     run_hmm,
     choose_params,
     cost_compare,

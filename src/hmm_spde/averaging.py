@@ -187,8 +187,8 @@ def run_averaged(
     Each step is xbar' = R_dt (xbar + dt * fbar(xbar)), written straight
     into its row of the trajectory.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if op_a.mode_count != x0.shape[-1]:
         raise ValueError("operator mode counts must match the fields")
     traj = np.empty((n_steps + 1, x0.shape[-1]))

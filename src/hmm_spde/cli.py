@@ -8,7 +8,10 @@ Subcommands:
 * ``rates``       one of the rate experiments; CSV table + JSON summary
 
 Outputs land in --out-dir with fixed schemas (header row, comma separation,
-deterministic row order) so downstream plotting can rely on them.
+deterministic row order) so downstream plotting can rely on them.  The
+directory is created only once the run has returned.  A rejected input ends
+in a one-line message, a solver's ValueError as ``hmm-spde <command>: ...``,
+and leaves no directory and no traceback.
 """
 
 from __future__ import annotations
@@ -124,14 +127,14 @@ def _hmm_params_from_args(args) -> HmmParams:
 
 
 def _cmd_hmm_run(args) -> None:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     K = args.K
     params = _hmm_params_from_args(args)
     op = laplacian_spec(K)
     coeffs = preset(args.problem)
     x0 = default_x0(K)
     run = run_hmm(x0, np.zeros(K), coeffs, op, op, params, args.seed)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out_dir / "hmm_trajectory.csv", run.trajectory, params.macro_dt)
     cost = dataclasses.asdict(run.cost)
     cost.update(
@@ -149,14 +152,14 @@ def _cmd_hmm_run(args) -> None:
 
 def _cmd_direct_run(args) -> None:
     _check_horizon(args.T, args.dt)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     K = args.K
     op = laplacian_spec(K)
     coeffs = preset(args.problem)
     x0 = default_x0(K)
     run = run_direct(x0, np.zeros(K), coeffs, op, op, args.epsilon, args.dt,
                      args.T, args.seed)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out_dir / "direct_trajectory.csv", run.trajectory_X, args.dt)
     _write_json(out_dir / "direct_cost.json", {
         "total_steps": run.cost, "dt": args.dt, "epsilon": args.epsilon,
@@ -166,8 +169,6 @@ def _cmd_direct_run(args) -> None:
 
 
 def _cmd_fbar(args) -> None:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     K = args.K
     op_b = laplacian_spec(K)
     coeffs = preset(args.problem)
@@ -184,6 +185,8 @@ def _cmd_fbar(args) -> None:
     else:
         values = to_grid(make_gaussian_fbar(coeffs, measure)(x0))
         stderr = np.zeros(K)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "fbar.csv"
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -194,14 +197,11 @@ def _cmd_fbar(args) -> None:
 
 
 def _cmd_rates(args) -> None:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        result = EXPERIMENTS[args.experiment](args)
-    except ValueError as exc:  # e.g. --seeds below the experiment's minimum
-        raise SystemExit(f"hmm-spde rates: {exc}") from None
+    result = EXPERIMENTS[args.experiment](args)
     reports = ((result.strong, result.weak) if isinstance(result, AveragingReport)
                else (result,))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for report in reports:
         _write_rate_report(report, out_dir)
 
@@ -266,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ValueError as exc:  # a rejected input ends in a message, not a traceback
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        raise SystemExit(f"hmm-spde {command}: {exc}") from None
     return 0
 
 

@@ -21,8 +21,8 @@ independent copies in lock step: the slow fields are (S, K) and the replica
 states (S, M, K) stacks through the same loop, and copy s equals the
 single-seed run with seed s bit for bit (every stage is a row-wise
 transform, an elementwise map or a sum over the replica axis in replica
-order).  :func:`estimate_ftilde` runs one macro block of one seed through
-the same kernel.
+order).  The estimator has one kernel, :func:`estimate_ftilde`, which
+:func:`run_hmm` calls once per macro step on the whole (S, M, K) stack.
 
 Parameter selection follows the tolerance calculus: with target error tol and
 exponent margins r, kappa,
@@ -60,7 +60,6 @@ __all__ = [
     "HmmParams",
     "CostReport",
     "HmmRun",
-    "estimate_ftilde",
     "run_hmm",
     "choose_params",
     "cost_compare",
@@ -153,52 +152,23 @@ class HmmRun:
         return self.trajectory[-1]
 
 
-def estimate_ftilde(
-    x_frozen: np.ndarray,
-    micro_states: np.ndarray,
-    params: HmmParams,
-    seed: int,
-    macro_index: int,
-    coeffs: CoefficientSpec,
-    op_b: OperatorSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance all replicas one macro block and average F over the window.
+def _increments(seeds: Sequence[int], params: HmmParams, K: int) -> Iterator[np.ndarray]:
+    """Yield the (S, M, K) noise increments of a whole run, n_0 macro blocks.
 
-    Returns (ftilde, updated carried states).  Replicas are advanced in lock
-    step on an (M, K) array with a fixed reduction order, so the result does
-    not depend on scheduling; each replica's noise comes from its own stream
-    at positions macro_index*m0 + 0..m0-1.
-    """
-    K = x_frozen.shape[-1]
-    states = np.asarray(micro_states, dtype=float)
-    if states.ndim != 2 or states.shape != (params.M, K):
-        raise ValueError(f"micro_states must have shape (M, K) = ({params.M}, {K})")
-    noise = _increments((seed,), params, K, first_macro=macro_index, n_macro=1)
-    ftilde, y = _estimate(np.asarray(x_frozen, float)[None], states[None], noise,
-                          params, coeffs, op_b)
-    return ftilde[0], y[0]
-
-
-def _increments(
-    seeds: Sequence[int], params: HmmParams, K: int, first_macro: int, n_macro: int
-) -> Iterator[np.ndarray]:
-    """Yield the (S, M, K) noise increments of ``n_macro`` macro blocks.
-
-    Opens one stream per (seed, replica j) at macro step ``first_macro`` and
-    reads it forward: the i-th step yielded is micro step i % m0 of macro
-    step first_macro + i // m0.  Chunks of max(1, _CHUNK_STEPS // (S M))
-    steps, and at most one macro block, are converted into one buffer
-    allocated here; each yielded step is a view that the next chunk
-    overwrites.  The cap at m0 keeps the buffer in cache and the peak
-    memory near that of one macro block when S M is small.
+    Opens one stream per (seed, replica j) at macro step 0 and reads it
+    forward: the i-th step yielded is micro step i % m0 of macro step i // m0.
+    Chunks of max(1, _CHUNK_STEPS // (S M)) steps, and at most one macro
+    block, are converted into one buffer allocated here; each yielded step is
+    a view that the next chunk overwrites.  The cap at m0 keeps the buffer in
+    cache and the peak memory near that of one macro block when S M is small.
     """
     S, M, m0 = len(seeds), params.M, params.m_0
     streams = NoiseStreams(
-        [derive_key(s, first_macro, 0, j, steps_per_macro=m0)
+        [derive_key(s, 0, 0, j, steps_per_macro=m0)
          for s in seeds for j in range(1, M + 1)],
         K,
     )
-    total = n_macro * m0
+    total = params.n_0 * m0
     chunk = min(max(1, _CHUNK_STEPS // (S * M)), m0)
     buf = np.empty((chunk, S, M, K))
     done = 0
@@ -209,18 +179,19 @@ def _increments(
         done += n
 
 
-def _estimate(
+def estimate_ftilde(
     X: np.ndarray,
     Y: np.ndarray,
-    noise: Iterator[np.ndarray],
     params: HmmParams,
+    noise: Iterator[np.ndarray],
     coeffs: CoefficientSpec,
     op_b: OperatorSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One macro block for (S, K) frozen slow fields and (S, M, K) replicas.
 
-    Takes m0 steps from ``noise`` and returns (Ftilde as (S, K), states).
-    The grid of a window step's states feeds f and the next step's g.
+    Takes the next m0 steps from ``noise`` (see :func:`_increments`) and
+    returns (Ftilde as (S, K), states).  The grid of a window step's states
+    feeds f and the next step's g.
     """
     K = X.shape[-1]
     tau = params.tau
@@ -300,9 +271,9 @@ def run_hmm(
     n0 = params.n_0
     traj = np.empty((n0 + 1, S, K))
     traj[0] = X
-    noise = _increments(seeds, params, K, first_macro=0, n_macro=n0)
+    noise = _increments(seeds, params, K)
     for n in range(n0):
-        ftilde, Y = _estimate(X, Y, noise, params, coeffs, op_b)
+        ftilde, Y = estimate_ftilde(X, Y, params, noise, coeffs, op_b)
         X = implicit_euler_step(X, ftilde, params.macro_dt, op_a)
         _check_finite(X, Y, seeds, n)
         traj[n + 1] = X

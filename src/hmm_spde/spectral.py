@@ -107,8 +107,8 @@ def grid_points(K: int) -> np.ndarray:
 
 
 def _check_step(step: float, name: str) -> None:
-    if step < 0:
-        raise ValueError(f"{name} must be nonnegative, got {step}")
+    if not 0 <= step < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {step}")
 
 
 def apply_resolvent(coeffs: np.ndarray, step: float, op: OperatorSpec) -> np.ndarray:

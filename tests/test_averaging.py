@@ -255,8 +255,9 @@ class TestAveragedScheme:
 
     def test_nonpositive_dt_rejected(self):
         op = laplacian_spec(2)
-        with pytest.raises(ValueError, match="dt"):
-            run_averaged(np.ones(2), lambda x: np.zeros(2), op, 0.0, 1)
+        for dt in (0.0, np.nan, np.inf):  # before: nan returned nan silently
+            with pytest.raises(ValueError, match="dt"):
+                run_averaged(np.ones(2), lambda x: np.zeros(2), op, dt, 1)
 
     def test_operator_mode_count_must_match(self):
         # a one-mode operator would broadcast its eigenvalue over 15 modes

@@ -193,3 +193,29 @@ class TestRatesTable:
             main(["rates", "--experiment", name, "--seeds", "1",
                   "--out-dir", str(tmp_path)])
         assert list(tmp_path.iterdir()) == []
+
+
+# each rejected input used to leave an empty --out-dir behind, and the three
+# ValueErrors ended in a traceback
+REJECTED = [
+    pytest.param(["hmm", "run", "--dt", "0.15", "--ddt", "1e-6", "--T", "1.0"],
+                 r"--T 1\.0 is not a whole number of --dt 0\.15 steps",
+                 id="hmm-horizon"),
+    pytest.param(["hmm", "run", "--epsilon", "-1", "--dt", "0.1", "--ddt", "1e-6"],
+                 "hmm-spde hmm run: epsilon must be positive and finite",
+                 id="hmm-epsilon"),
+    pytest.param(["direct", "run", "--epsilon", "0", "--dt", "0.1"],
+                 "hmm-spde direct run: epsilon must be positive", id="direct-epsilon"),
+    pytest.param(["rates", "--experiment", "strong_m", "--seeds", "1"],
+                 "hmm-spde rates: n_seeds must be >= 2", id="rates-seeds"),
+    pytest.param(["hmm", "run", "--tol", "2"], r"hmm-spde hmm run: tol must lie in \(0, 1\)",
+                 id="hmm-tol"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED)
+def test_rejected_input_leaves_no_directory(tmp_path, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^{message}"):
+        main(argv + ["--out-dir", str(out)])
+    assert not out.exists()

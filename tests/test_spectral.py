@@ -65,8 +65,10 @@ class TestResolvent:
         assert out[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_negative_step_rejected(self):
-        with pytest.raises(ValueError):
-            apply_resolvent(np.ones(3), -0.1, laplacian_spec(3))
+        # before: nan gave nan and inf gave zeros
+        for step in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                apply_resolvent(np.ones(3), step, laplacian_spec(3))
 
     @settings(max_examples=50, deadline=None)
     @given(v=fields(), step=st.floats(0, 10, allow_nan=False))
@@ -91,8 +93,10 @@ class TestSemigroup:
         assert out[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            apply_semigroup(np.ones(2), -1.0, laplacian_spec(2))
+        # before: nan gave nan and inf gave zeros
+        for t in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                apply_semigroup(np.ones(2), t, laplacian_spec(2))
 
     @settings(max_examples=30, deadline=None)
     @given(v=fields(), s=st.floats(0, 1), t=st.floats(0, 1))
@@ -282,8 +286,9 @@ class TestArgumentsAndDenominators:
                 out, (coeffs + dt * forcing) / (1.0 + dt * op.eigenvalues))
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            implicit_euler_step(np.ones(3), np.ones(3), -0.1, laplacian_spec(3))
+        for dt in (-0.1, np.nan, np.inf):  # before: nan gave nan
+            with pytest.raises(ValueError, match="nonnegative"):
+                implicit_euler_step(np.ones(3), np.ones(3), dt, laplacian_spec(3))
 
     def test_denominators_per_operator_and_dt(self):
         a = laplacian_spec(5)
@@ -368,8 +373,9 @@ class TestOutArgument:
 
     def test_negative_dt_leaves_out_untouched(self):
         x = np.ones(3)
-        with pytest.raises(ValueError, match="nonnegative"):
-            implicit_euler_step(x, np.ones(3), -0.1, laplacian_spec(3), out=x)
+        for dt in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                implicit_euler_step(x, np.ones(3), dt, laplacian_spec(3), out=x)
         np.testing.assert_array_equal(x, np.ones(3))
 
 
