@@ -217,25 +217,25 @@ def reference_solution(
     Also integrates at half the step and reports the endpoint gap (a
     Richardson self-consistency number the caller should compare against the
     errors being measured).  Both run in lock step as the rows of one
-    (2, K) stack, one oracle call on the stack and one on the finer row per
-    coarse step; each row equals :func:`run_averaged` at its step bit for bit.
+    (2, K) stack: one update steps both rows, a second the finer row's other
+    half step; each row equals :func:`run_averaged` at its step bit for bit.
     """
-    if fine_dt <= 0 or T <= 0:
-        raise ValueError("T and fine_dt must be positive")
+    for name, value in (("T", T), ("fine_dt", fine_dt)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if op_a.mode_count != x0.shape[-1]:
         raise ValueError("operator mode counts must match the fields")
-    n = int(round(T / fine_dt))
+    if not T / fine_dt < np.inf:
+        raise ValueError(f"step count T/fine_dt = {T}/{fine_dt} is not finite")
+    n = round(T / fine_dt)
     if abs(n * fine_dt - T) > 1e-9 * T:
         raise ValueError("fine_dt must divide T")
     half = fine_dt / 2.0
+    steps = np.array([[fine_dt], [half]])  # per row of the stack
     xs = np.array([x0, x0], dtype=float)
     x_fine, x_finer = xs
-    fs = np.empty_like(xs)  # fbar of both rows; one (K,) result serves both
-    f_fine, f_finer = fs
     for _ in range(n):
-        fs[...] = fbar(xs)
-        implicit_euler_step(x_fine, f_fine, fine_dt, op_a, out=x_fine)
-        implicit_euler_step(x_finer, f_finer, half, op_a, out=x_finer)
+        implicit_euler_step(xs, fbar(xs), steps, op_a, out=xs)
         implicit_euler_step(x_finer, fbar(x_finer), half, op_a, out=x_finer)
     return ReferenceSolution(
         field=x_finer,

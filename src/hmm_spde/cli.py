@@ -98,9 +98,10 @@ def _check_horizon(T: float, dt: float) -> None:
 
     The solvers do not end at such a T: ``run_hmm`` takes floor(T/dt) macro
     steps and ``run_direct`` ceil(T/dt) steps, so the last CSV row would sit
-    short of or past the T written to the cost file.
+    short of or past the T written to the cost file.  The solvers reject a
+    T, dt or T/dt that is not positive and finite by name.
     """
-    if dt > 0 and T > 0 and abs(round(T / dt) * dt - T) > 1e-9 * T:
+    if dt > 0 and T > 0 and T / dt < math.inf and abs(round(T / dt) * dt - T) > 1e-9 * T:
         raise SystemExit(f"--T {T} is not a whole number of --dt {dt} steps")
 
 

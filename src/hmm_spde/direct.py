@@ -18,8 +18,9 @@ multiscale driver's micro work does not grow as eps shrinks.
 uses its own tau_r = dt_r/eps_r, so it equals the single run (eps_r, dt_r,
 seed_r) bit for bit (every stage is a row-wise transform or elementwise).
 Rows go in order of decreasing step count, so the live rows are a prefix of
-the stack that shrinks at each horizon; rows of equal dt share one slow
-update.  The streams are opened once and read forward into one noise buffer.
+the stack that shrinks at each horizon; one slow update per coupled step
+covers the live rows, each at its own dt_r.  The streams are opened once and
+read forward into one noise buffer.
 X and Y live in one (2, S, K) buffer, so one ``to_grid`` call per coupled
 step transforms both, and the y grid goes on to g.  Each step writes into
 buffers made once per noise chunk (``out=``); both updates read the
@@ -105,8 +106,8 @@ def run_direct(
     dt[r], seed[r]).  ``cost`` is sum_r ceil(T/dt_r).  The trajectory of
     the slow field takes (steps + 1) * S * K * 8 bytes and needs equal step
     counts; ``trajectory=False`` skips it.  A non-positive or non-finite
-    epsilon, dt or T raises ValueError naming it and its row; a non-finite
-    state raises one naming the seeds and the range of steps.
+    epsilon, dt, T or step count T/dt raises ValueError naming it (and the
+    row); a non-finite state raises one naming the seeds and the steps.
     """
     single = isinstance(seed, numbers.Integral)
     seeds = (seed,) if single else tuple(seed)
@@ -117,6 +118,8 @@ def run_direct(
     dt_r = _rows("dt", dt, S, single)
     if not 0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
+    if not T / min(dt_r) < math.inf:
+        raise ValueError(f"step count T/dt = {T}/{min(dt_r)} is not finite")
     K = x0.shape[-1]
     if op_a.mode_count != K or op_b.mode_count != K:
         raise ValueError("operator mode counts must match the fields")
@@ -127,19 +130,17 @@ def run_direct(
     order = sorted(range(S), key=lambda r: -steps_r[r])
     seeds_s, eps_s, dt_s, steps = ([v[r] for r in order]
                                    for v in (seeds, eps_r, dt_r, steps_r))
-    tau = np.array([d / e for d, e in zip(dt_s, eps_s)])[:, None]
+    dt_col = np.array(dt_s)[:, None]
+    tau = dt_col / np.array(eps_s)[:, None]
     if tau.max() > 0.5:
         warnings.warn(
             f"dt/epsilon = {tau.max():.3g} > 0.5: the fast scale is underresolved",
             stacklevel=2,
         )
     n_steps = steps[0]
-    # the rows of equal dt share one slow update per step
-    ends = [r for r in range(1, S) if dt_s[r] != dt_s[r - 1]] + [S]
-    groups = [(lo, hi, dt_s[lo]) for lo, hi in zip([0] + ends, ends)]
 
     xi = grid_points(K)
-    res = 1.0 / (1.0 + tau * op_b.eigenvalues)
+    res = 1.0 / op_b.euler_denominator(tau)
     XY = np.empty((2, S, K))  # X and Y, transformed together
     X, Y = XY
     X[:] = x0
@@ -167,13 +168,11 @@ def run_direct(
         X_l, Y_l = XY_l
         grids_l, f_l = np.empty_like(XY_l), np.empty((L, K))
         x_grid, y_grid = grids_l
-        res_l, tau_l = res[:L], tau[:L]
-        slow = [(X_l[lo:hi], f_l[lo:hi], d) for lo, hi, d in groups if lo < L]
+        res_l, tau_l, dt_l = res[:L], tau[:L], dt_col[:L]
         for i in range(n_chunk):
             to_grid(XY_l, out=grids_l)
             to_spectral(coeffs.f(xi, x_grid, y_grid), out=f_l)
-            for x, f, d in slow:
-                implicit_euler_step(x, f, d, op_a, out=x)
+            implicit_euler_step(X_l, f_l, dt_l, op_a, out=X_l)
             step_replicas(Y_l, x_grid, xi, incr[i], res_l, tau_l, coeffs, y_grid, out=Y_l)
             if traj is not None:
                 traj[done + i + 1] = X_l

@@ -245,7 +245,7 @@ def invariant_law_tau_sweep(K: int, tau_list, drift_shift: float = 0.0) -> RateR
         [
             np.sum(
                 1.0 / (2.0 * (mu + c))
-                - tau / ((1.0 + tau * mu) ** 2 - (1.0 - c * tau) ** 2)
+                - tau / (op_b.euler_denominator(tau) ** 2 - (1.0 - c * tau) ** 2)
             )
             for tau in taus
         ]
@@ -277,6 +277,8 @@ def macro_order_experiment(
     Richardson gap is reported in the metadata.  Every dt must divide T.
     """
     t0 = time.perf_counter()
+    if fine_factor < 1:
+        raise ValueError(f"fine_factor must be >= 1, got {fine_factor}")
     if dt_list is None:
         dt_list = [T / 8, T / 16, T / 32, T / 64, T / 128]
     for dt in dt_list:
@@ -417,7 +419,7 @@ def warmup_bias_experiment(
 
     xi = grid_points(K)
     x_grid = to_grid(x0)
-    res = 1.0 / (1.0 + tau * op_b.eigenvalues)
+    res = 1.0 / op_b.euler_denominator(tau)
 
     errors, stderrs = [], []
     for ip, nt in enumerate(n_T_values):
@@ -437,7 +439,7 @@ def warmup_bias_experiment(
         errors.append(bias)
         stderrs.append(noise)
 
-    a1 = 1.0 / (1.0 + tau * op_b.smallest_eigenvalue)
+    a1 = float(res[0])
     return _make_report(
         "strong_nt",
         "n_T",

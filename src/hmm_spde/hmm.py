@@ -74,8 +74,8 @@ class HmmParams:
     """Scheme parameters; tau, n_0 and m_0 are derived.
 
     epsilon, macro_dt, micro_dt and T must be positive and finite (a
-    ValueError names the first that is not), and the effective micro step
-    tau = micro_dt / epsilon must not exceed 1.
+    ValueError names the first that is not), as must T / macro_dt, and the
+    effective micro step tau = micro_dt / epsilon must not exceed 1.
     n_T >= 1 is enforced: the averaging window must not include the carried
     state before any step of the current macro block has been taken.
     n_0 = floor(T / macro_dt) whole macro steps, so a run ends at
@@ -95,6 +95,8 @@ class HmmParams:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not self.T / self.macro_dt < math.inf:
+            raise ValueError(f"step count T/macro_dt = {self.T}/{self.macro_dt} is not finite")
         if self.N < 1 or self.M < 1:
             raise ValueError("N and M must be >= 1")
         if self.n_T < 1:
@@ -197,7 +199,7 @@ def estimate_ftilde(
     tau = params.tau
     xi = grid_points(K)
     x_grid = to_grid(X)[:, None, :]
-    res = 1.0 / (1.0 + tau * op_b.eigenvalues)
+    res = 1.0 / op_b.euler_denominator(tau)
     f_sum = np.zeros(X.shape)
     y_grid = None
     for m in range(1, params.m_0 + 1):
@@ -330,6 +332,8 @@ def choose_params(
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     if regime not in ("strong", "weak"):
         raise ValueError(f"regime must be 'strong' or 'weak', got {regime!r}")
     r_cap = 0.5 if regime == "strong" else 1.0

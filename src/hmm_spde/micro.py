@@ -59,8 +59,8 @@ def step_replicas(
     """One fast step applied to a (..., K) stack of fields in lock step.
 
     ``increment`` is the sqrt(tau)-scaled normal block, ``resolvent_mult``
-    the precomputed per-mode factors 1/(1 + tau mu_k) (one row per field
-    when ``tau`` is a column of per-row steps), and ``y_grid``, when
+    the per-mode factors ``1 / op_b.euler_denominator(tau)`` (one row per
+    field when ``tau`` is a column of per-row steps), and ``y_grid``, when
     the caller has it, ``to_grid(y)``.  The new state is written to ``out``
     (a fresh array when None) and returned; ``out`` may be ``y`` or
     ``increment``.  This is the single code path every fast-chain consumer
@@ -153,7 +153,7 @@ def run_micro(
 
     xi = grid_points(K)
     x_grid = to_grid(frozen_x)
-    res = 1.0 / (1.0 + tau * op_b.eigenvalues)
+    res = 1.0 / op_b.euler_denominator(tau)
 
     y = np.array(y0, dtype=float)
     f_sum = np.zeros(K)

@@ -11,8 +11,9 @@ The grid transforms call scipy's pocketfft DST-I kernel directly rather than
 (backend lookup, argument normalisation) cost several times the transform
 itself.  The kernel call is the one ``scipy.fft.dst(x, type=1, axis=-1)``
 makes, so results agree with it bit for bit; ``tests/test_spectral.py``
-asserts this.  The transforms scale the kernel's output in place, and each
-operator computes ``1 + dt * eigenvalues`` once per step size.
+asserts this.  The transforms scale the kernel's output in place, and
+``OperatorSpec.euler_denominator`` alone forms ``1 + step * eigenvalues``,
+once per step size or per column of per-row steps.
 
 The transforms and :func:`implicit_euler_step` take an optional ``out``
 array as numpy ufuncs do: the result goes there and is returned, and ``out``
@@ -73,14 +74,16 @@ class OperatorSpec:
     def __hash__(self):
         return hash(self.eigenvalues.tobytes())
 
-    def euler_denominator(self, step: float) -> np.ndarray:
-        """1 + step * eigenvalues, checked and computed once per step size."""
-        den = self._denominators.get(step)
+    def euler_denominator(self, step: float | np.ndarray) -> np.ndarray:
+        """1 + step * eigenvalues, read-only and computed once per step: a (K,)
+        row for one step, (S, K) rows for an (S, 1) column of per-row steps."""
+        key = (np.shape(step), np.asarray(step, float).tobytes()) if np.ndim(step) else step
+        den = self._denominators.get(key)
         if den is None:
             _check_step(step, "step")
             if len(self._denominators) >= 64:  # a sweep over many step sizes
                 self._denominators.clear()
-            den = self._denominators[step] = 1.0 + step * self.eigenvalues
+            den = self._denominators[key] = 1.0 + step * self.eigenvalues
             den.setflags(write=False)
         return den
 
@@ -106,9 +109,10 @@ def grid_points(K: int) -> np.ndarray:
     return np.arange(1, K + 1, dtype=float) / (K + 1)
 
 
-def _check_step(step: float, name: str) -> None:
-    if not 0 <= step < np.inf:
-        raise ValueError(f"{name} must be nonnegative and finite, got {step}")
+def _check_step(step: float | np.ndarray, name: str) -> None:
+    for s in np.ravel(step):  # every row of a column of steps
+        if not 0 <= s < np.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {s}")
 
 
 def apply_resolvent(coeffs: np.ndarray, step: float, op: OperatorSpec) -> np.ndarray:
@@ -168,7 +172,7 @@ def to_spectral(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 def implicit_euler_step(
-    coeffs: np.ndarray, forcing: np.ndarray, dt: float, op: OperatorSpec,
+    coeffs: np.ndarray, forcing: np.ndarray, dt: float | np.ndarray, op: OperatorSpec,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One semi-implicit Euler step: (I - dt*op)^{-1} (x + dt * forcing).
@@ -176,8 +180,9 @@ def implicit_euler_step(
     The linear part is implicit, the forcing explicit.  Both the coarse and
     the averaged schemes must route through this single code path so that a
     y-independent reaction term makes them agree bitwise.  ``coeffs`` and
-    ``forcing`` broadcast against each other.  ``out`` may be either input,
-    since ``dt * forcing`` is formed first.
+    ``forcing`` broadcast against each other; ``dt`` may be an (S, 1) column
+    of per-row steps, each row then equal to its own step bit for bit.
+    ``out`` may be either input, since ``dt * forcing`` is formed first.
     """
     den = op.euler_denominator(dt)
     out = np.add(coeffs, dt * forcing, out=out)

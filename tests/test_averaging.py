@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hmm_spde.averaging as averaging_mod
 from hmm_spde.averaging import (
     fbar_sampled,
     gaussian_discrete,
@@ -332,7 +333,41 @@ class TestReferenceSolution:
                                0.5, 0.5 / 16)
 
     def test_bad_fine_dt_rejected(self):
-        with pytest.raises(ValueError):
-            reference_solution(
-                np.zeros(3), lambda x: np.zeros(3), laplacian_spec(3), 0.5, 0.3
-            )
+        op = laplacian_spec(3)
+        with pytest.raises(ValueError, match="fine_dt must divide T"):
+            reference_solution(np.zeros(3), lambda x: np.zeros(3), op, 0.5, 0.3)
+        # before: fine_dt=inf returned x0 after zero steps, T=inf raised
+        # OverflowError and a NaN "cannot convert float NaN to integer"
+        for T, fine_dt, name in [(0.5, np.inf, "fine_dt"), (0.5, np.nan, "fine_dt"),
+                                 (np.inf, 0.1, "T"), (np.nan, 0.1, "T"),
+                                 (0.5, -0.1, "fine_dt"), (0.0, 0.1, "T")]:
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+                reference_solution(np.zeros(3), lambda x: np.zeros(3), op, T, fine_dt)
+
+    @pytest.mark.parametrize("provider", ["stacked", "one row"])
+    def test_two_updates_per_coarse_step(self, monkeypatch, provider):
+        # one update steps both rows (fine_dt and fine_dt / 2), a second the
+        # finer row's other half step; a provider that returns one (K,) row
+        # for the stack still serves both rows
+        K, n = 5, 8
+        op = laplacian_spec(K)
+        if provider == "stacked":
+            fbar = make_gaussian_fbar(preset("p1"), gaussian_nu(op))
+        else:
+            forcing = np.linspace(1.0, -1.0, K)
+            fbar = lambda x: forcing  # noqa: E731
+        x0 = np.linspace(0.5, -0.2, K)
+        calls = []
+        step = averaging_mod.implicit_euler_step
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return step(*a, **kw)
+
+        monkeypatch.setattr(averaging_mod, "implicit_euler_step", counting)
+        ref = reference_solution(x0, fbar, op, 0.2, 0.2 / n)
+        assert len(calls) == 2 * n
+        fine = run_averaged(x0, fbar, op, 0.2 / n, n)[-1]
+        finer = run_averaged(x0, fbar, op, 0.1 / n, 2 * n)[-1]
+        np.testing.assert_array_equal(ref.field, finer)
+        assert ref.richardson_gap == float(np.linalg.norm(fine - finer))

@@ -210,6 +210,29 @@ REJECTED = [
                  "hmm-spde rates: n_seeds must be >= 2", id="rates-seeds"),
     pytest.param(["hmm", "run", "--tol", "2"], r"hmm-spde hmm run: tol must lie in \(0, 1\)",
                  id="hmm-tol"),
+    # these ended in an OverflowError, ZeroDivisionError or "math domain
+    # error" traceback
+    pytest.param(["hmm", "run", "--dt", "0.05", "--ddt", "1e-6", "--T", "inf"],
+                 "hmm-spde hmm run: T must be positive and finite, got inf",
+                 id="hmm-T-inf"),
+    pytest.param(["hmm", "run", "--dt", "0.05", "--ddt", "1e-6", "--T", "1e308"],
+                 r"hmm-spde hmm run: step count T/macro_dt = 1e\+308/0\.05 is not finite$",
+                 id="hmm-T-huge"),
+    pytest.param(["direct", "run", "--dt", "0.01", "--T", "inf"],
+                 "hmm-spde direct run: T must be positive and finite, got inf",
+                 id="direct-T-inf"),
+    pytest.param(["direct", "run", "--dt", "0.01", "--T", "1e308"],
+                 r"hmm-spde direct run: step count T/dt = 1e\+308/0\.01 is not finite$",
+                 id="direct-T-huge"),
+    pytest.param(["hmm", "run", "--tol", "0.3", "--T", "0"],
+                 "hmm-spde hmm run: T must be positive and finite, got 0.0$",
+                 id="hmm-tol-T-zero"),
+    pytest.param(["hmm", "run", "--tol", "0.3", "--T", "-1"],
+                 "hmm-spde hmm run: T must be positive and finite, got -1.0$",
+                 id="hmm-tol-T-negative"),
+    pytest.param(["hmm", "run", "--tol", "0.3", "--T", "1e308"],
+                 r"hmm-spde hmm run: step count T/macro_dt = 1e\+308/0\.3 is not finite$",
+                 id="hmm-tol-T-huge"),
 ]
 
 

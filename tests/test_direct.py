@@ -103,6 +103,36 @@ class TestRunDirect:
             run_direct(default_x0(K), np.zeros(K), P1, op, op,
                        epsilon=0.1, dt=0.01, T=T, seed=1)
 
+    def test_infinite_step_count_rejected(self):
+        # before: T/dt overflowed to inf and math.ceil raised OverflowError
+        K = 3
+        op = laplacian_spec(K)
+        with pytest.raises(ValueError, match=r"^step count T/dt = 1e\+308/0\.01 is not finite$"):
+            run_direct(default_x0(K), np.zeros(K), P1, op, op,
+                       epsilon=0.1, dt=[1.0, 0.01], T=1e308, seed=[1, 2])
+
+    def test_one_slow_update_per_coupled_step(self, monkeypatch):
+        # rows of different dt share each step's one implicit_euler_step call,
+        # made through the module global the benchmark's tracer wraps
+        K = 4
+        op = laplacian_spec(K)
+        args = (default_x0(K), np.zeros(K), P1, op, op, [0.1, 0.05, 0.1, 0.2],
+                [0.005, 0.01, 0.004, 0.01], 0.1, [1, 2, 3, 4])
+        plain = run_direct(*args, trajectory=False)
+        calls = []
+        step = direct_mod.implicit_euler_step
+
+        def counting(*a, **kw):
+            calls.append(a[2])
+            return step(*a, **kw)
+
+        monkeypatch.setattr(direct_mod, "implicit_euler_step", counting)
+        run = run_direct(*args, trajectory=False)
+        assert len(calls) == 25  # ceil(T / min dt) coupled steps
+        assert [len(dt) for dt in calls] == [4] * 10 + [2] * 10 + [1] * 5  # live rows
+        np.testing.assert_array_equal(run.final_X, plain.final_X)
+        np.testing.assert_array_equal(run.final_Y, plain.final_Y)
+
     def test_per_row_sequence_must_fit_the_seeds(self):
         K = 3
         op = laplacian_spec(K)
@@ -309,6 +339,10 @@ class TestSeedAxis:
         run = run_direct(default_x0(K), np.zeros(K), P1, op, op, dt=[0.01, 0.0101], **kw)
         assert run.trajectory_X.shape == (6, 2, K)
         assert run.dt == (0.01, 0.0101)
+        for r, (dt, seed) in enumerate(zip(run.dt, kw["seed"])):
+            one = run_direct(default_x0(K), np.zeros(K), P1, op, op, epsilon=0.1, dt=dt,
+                             T=0.05, seed=seed)
+            np.testing.assert_array_equal(run.trajectory_X[:, r], one.trajectory_X)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -238,6 +238,12 @@ class TestMacroOrder:
         with pytest.raises(ValueError):
             macro_order_experiment(problem="p2")
 
+    @pytest.mark.parametrize("fine_factor", [0, -2])
+    def test_fine_factor_below_one_rejected(self, fine_factor):
+        # before: fine_factor=0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match=r"^fine_factor must be >= 1, got"):
+            macro_order_experiment(K=7, T=0.25, dt_list=[0.25], fine_factor=fine_factor)
+
     def test_dt_that_does_not_divide_T_rejected(self):
         # round(0.25 / 0.1) = 2 steps would end at 0.2, short of the reference's T
         with pytest.raises(ValueError, match=r"dt=0\.1 .*T=0\.25"):

@@ -80,6 +80,12 @@ class TestHmmParams:
         with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got"):
             HmmParams(**kw)
 
+    def test_infinite_step_count_rejected(self):
+        # before: HmmParams(T=1e308).n_0 raised OverflowError
+        with pytest.raises(ValueError,
+                           match=r"^step count T/macro_dt = 1e\+308/0\.05 is not finite$"):
+            HmmParams(epsilon=1.0, macro_dt=0.05, micro_dt=0.01, T=1e308)
+
 
 def estimate_block0(x, states, p, seed, coeffs, op):
     """Ftilde and carried (M, K) states of macro step 0 of seed ``seed``'s
@@ -537,6 +543,10 @@ class TestChooseParams:
             choose_params(0.1, 1e-3, "weak", kappa=0.5)
         with pytest.raises(ValueError):
             choose_params(0.1, 1e-3, "medium")
+        # before: T=0 raised ZeroDivisionError and T=-1 "math domain error"
+        for T in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^T must be positive and finite, got"):
+                choose_params(0.3, 1e-3, "weak", T=T)
 
 
 class TestCostCompare:

@@ -58,6 +58,14 @@ class TestMicroStep:
         with pytest.raises(ValueError):
             run_micro(np.zeros(4), np.zeros(4), 1, derive_key(0, 0, 0, 1), P1, op, 0.1)
 
+    @pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf])
+    def test_bad_tau_rejected(self, tau):
+        # the resolvent multipliers come from op.euler_denominator, which
+        # checks the step before any noise is drawn
+        op = laplacian_spec(3)
+        with pytest.raises(ValueError, match="^step must be nonnegative and finite"):
+            run_micro(np.zeros(3), np.zeros(3), 1, derive_key(0, 0, 0, 1), P1, op, tau)
+
     def test_pathwise_contraction_single_step(self):
         # same noise, strictly dissipative g: squared distance contracts by rho
         K = 15

@@ -315,6 +315,57 @@ class TestArgumentsAndDenominators:
                                           1.0 + dt * op.eigenvalues)
 
 
+class TestPerRowSteps:
+    """An (S, 1) column of per-row steps gives (S, K) denominators and an
+    Euler step whose rows equal the single-step calls bit for bit."""
+
+    STEPS = [0.01, 0.0101, 0.0, 0.01, 0.3]
+
+    def test_column_equals_stacked_rows(self):
+        op = laplacian_spec(6)
+        col = np.array(self.STEPS)[:, None]
+        den = op.euler_denominator(col)
+        assert den.shape == (len(self.STEPS), 6)
+        np.testing.assert_array_equal(den, np.stack([op.euler_denominator(s)
+                                                     for s in self.STEPS]))
+        assert not den.flags.writeable
+        assert op.euler_denominator(col.copy()) is den  # cached per column
+        # another shape or another step is another column
+        assert op.euler_denominator(col[:3]) is not den
+        assert op.euler_denominator(col[::-1]) is not den
+        np.testing.assert_array_equal(op.euler_denominator(col[::-1]), den[::-1])
+
+    def test_column_is_not_a_step(self):
+        op = laplacian_spec(3)
+        assert op.euler_denominator(np.array([[0.1]])).shape == (1, 3)
+        assert op.euler_denominator(0.1).shape == (3,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_one_bad_row_rejected(self, bad):
+        op = laplacian_spec(3)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            op.euler_denominator(np.array([[0.1], [bad], [0.2]]))
+
+    @pytest.mark.parametrize("K", [1, 15])
+    def test_euler_step_equals_per_row_calls(self, K):
+        rng = np.random.default_rng(K)
+        op = laplacian_spec(K)
+        S = len(self.STEPS)
+        x, f = rng.standard_normal((S, K)), rng.standard_normal((S, K))
+        col = np.array(self.STEPS)[:, None]
+        rows = np.stack([implicit_euler_step(x[r], f[r], s, op)
+                         for r, s in enumerate(self.STEPS)])
+        np.testing.assert_array_equal(implicit_euler_step(x, f, col, op), rows)
+        out = x.copy()
+        assert implicit_euler_step(out, f, col, op, out=out) is out
+        np.testing.assert_array_equal(out, rows)
+        # one (K,) forcing row serves every row of the stack
+        np.testing.assert_array_equal(
+            implicit_euler_step(x, f[0], col, op),
+            np.stack([implicit_euler_step(x[r], f[0], s, op)
+                      for r, s in enumerate(self.STEPS)]))
+
+
 OUT_SHAPES = [lead + (K,) for K in (1, 2, 15, 63) for lead in ((), (3,), (2, 3))]
 
 
