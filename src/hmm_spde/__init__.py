@@ -25,7 +25,6 @@ from .spectral import (
 )
 from .noise import (
     NoiseStreamKey,
-    derive_key,
     draw_increments,
     standard_normals,
     mix_seed,

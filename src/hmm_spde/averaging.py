@@ -130,30 +130,25 @@ def fbar_sampled(
     tau: float,
     window: int,
     key: NoiseStreamKey,
-    warmup: int | None = None,
     batches: int = 32,
-    y0: np.ndarray | None = None,
 ) -> FbarSampled:
     """Estimate the averaged coefficient by a long single-chain time average.
 
-    Splits the window into ``batches`` consecutive batches and reports the
-    batch-means standard error per grid point; the batch length should exceed
-    the chain's correlation time ~ (1 + tau mu_1)/(tau mu_1) steps.
+    The chain starts at zero and runs max(window // 10, 1) warm-up steps
+    from ``key``, then the window.  Splits the window into ``batches``
+    consecutive batches and reports the batch-means standard error per grid
+    point; the batch length should exceed the chain's correlation time
+    ~ (1 + tau mu_1)/(tau mu_1) steps.
     """
     if window < 1:
         raise ValueError("window must contain at least one step")
     if batches < 2 or batches > window:
         raise ValueError("need 2 <= batches <= window")
     K = x.shape[-1]
-    if warmup is None:
-        warmup = max(window // 10, 1)
+    warmup = max(window // 10, 1)
     per_batch = window // batches
-    y = np.zeros(K) if y0 is None else np.array(y0, dtype=float)
-
     # warm-up: advance without accumulating
-    if warmup > 0:
-        res = run_micro(y, x, warmup, key, spec, op_b, tau, warmup=warmup)
-        y = res.y
+    y = run_micro(np.zeros(K), x, warmup, key, spec, op_b, tau, warmup=warmup).y
     offset = warmup
 
     batch_means = np.empty((batches, K))

@@ -42,7 +42,7 @@ from .experiments import (
     weak_error_experiment,
 )
 from .hmm import HmmParams, choose_params, cost_compare, run_hmm
-from .noise import derive_key
+from .noise import NoiseStreamKey
 from .spectral import grid_points, laplacian_spec, to_grid
 
 # rates --experiment name -> its call on the parsed arguments
@@ -180,7 +180,7 @@ def _cmd_fbar(args) -> None:
     except ValueError:  # no Gaussian invariant law: sample the fast chain
         res = fbar_sampled(
             coeffs, x0, op_b, args.tau, args.window,
-            derive_key(args.seed, 0, 0, 1), batches=32,
+            NoiseStreamKey(args.seed, replica=1), batches=32,
         )
         values, stderr = res.grid_values, res.grid_stderr
     else:

@@ -14,9 +14,10 @@ multiscale driver's micro work does not grow as eps shrinks.
 
 :func:`run_direct` takes one seed or a sequence of S seeds; with a sequence,
 ``epsilon`` and ``dt`` may be given per row.  The S rows run in lock step as
-(S, K) stacks through the same loop; row r reads its own Philox stream and
-uses its own tau_r = dt_r/eps_r, so it equals the single run (eps_r, dt_r,
-seed_r) bit for bit (every stage is a row-wise transform or elementwise).
+(S, K) stacks through the same loop; row r reads its own Philox stream
+(seed_r, ``DIRECT_STREAM_TAG``, replica 1) from step 0 and uses its own
+tau_r = dt_r/eps_r, so it equals the single run (eps_r, dt_r, seed_r) bit
+for bit (every stage is a row-wise transform or elementwise).
 Rows go in order of decreasing step count, so the live rows are a prefix of
 the stack that shrinks at each horizon; one slow update per coupled step
 covers the live rows, each at its own dt_r.  The streams are opened once and
@@ -41,7 +42,7 @@ import numpy as np
 
 from .coefficients import CoefficientSpec
 from .micro import _CHUNK_STEPS, _check_finite, step_replicas
-from .noise import NoiseStreams, derive_key, draw_increments
+from .noise import NoiseStreamKey, NoiseStreams, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
 
 __all__ = ["DirectRun", "run_direct", "DIRECT_STREAM_TAG"]
@@ -99,7 +100,7 @@ def run_direct(
 
     ``seed`` is an int or a sequence of S seeds.  A sequence advances S
     rows from the same (K,) initial fields ``x0``, ``y0`` in lock step;
-    row s draws its noise from ``derive_key(seed[s], 0, 0, 1,
+    row s draws its noise from ``NoiseStreamKey(seed[s], replica=1,
     stream_tag=DIRECT_STREAM_TAG)`` and equals the single-seed run with
     that seed bit for bit.  With seeds, ``epsilon`` and ``dt`` may each be
     one value per seed; row r then equals the single run (epsilon[r],
@@ -150,7 +151,7 @@ def run_direct(
         traj[0] = X
 
     streams = NoiseStreams(
-        [derive_key(s, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG) for s in seeds_s], K
+        [NoiseStreamKey(s, replica=1, stream_tag=DIRECT_STREAM_TAG) for s in seeds_s], K
     )
     # one noise buffer holds about _CHUNK_STEPS * K numbers whatever S is,
     # sized for the largest chunk: r + 1 rows live for steps[r + 1]..steps[r]

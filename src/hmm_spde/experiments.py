@@ -30,7 +30,7 @@ from .coefficients import CoefficientSpec, preset
 from .hmm import HmmParams, run_hmm
 from .direct import run_direct
 from .micro import discrete_stationary_variances, step_replicas
-from .noise import derive_key, mix_seed, standard_normals
+from .noise import NoiseStreamKey, mix_seed, standard_normals
 from .spectral import (
     OperatorSpec,
     grid_points,
@@ -219,7 +219,7 @@ def sample_stationary_linear(
 ) -> np.ndarray:
     """Draw M fields from the exact stationary law of the g = 0 fast chain."""
     v = discrete_stationary_variances(tau, op_b)
-    key = derive_key(seed, 0, 0, 1, stream_tag=INIT_STREAM_TAG)
+    key = NoiseStreamKey(seed, replica=1, stream_tag=INIT_STREAM_TAG)
     z = standard_normals(key, op_b.mode_count, count=M).reshape(M, op_b.mode_count)
     return np.sqrt(v) * z
 
@@ -427,7 +427,7 @@ def warmup_bias_experiment(
         point_seed = mix_seed(seed, ip)
         y = sample_stationary_linear(point_seed, tau, op_b, M)
         y[:, 0] += displacement
-        key = derive_key(point_seed, 0, 0, 1, steps_per_macro=nt)
+        key = NoiseStreamKey(point_seed, replica=1)
         incr = standard_normals(key, M * K, count=nt).reshape(nt, M, K) * math.sqrt(tau)
         for m in range(nt):
             y = step_replicas(y, x_grid, xi, incr[m], res, tau, coeffs)

@@ -8,13 +8,12 @@ reaction over the window m = n_T..m0 and all replicas,
 
 and advances the slow field with the semi-implicit Euler step
 X_{n+1} = S_dt (X_n + dt * Ftilde_n).  Carried states Y_{n+1,0,j} = Y_{n,m0,j}
-keep each replica chain a single concatenated noise process: the noise block
-of micro step m inside macro step n sits at global position n*m0 + m of
-replica j's stream, so macro step n only ever reads blocks with macro index n.
-A run therefore opens one Philox stream per (seed, replica) at macro step 0,
-``derive_key(seed, 0, 0, j, steps_per_macro=m0)``, and reads it forward in
-chunks of at most one macro block and about ``_CHUNK_STEPS * K`` numbers,
-each converted in place in one buffer.
+keep each replica chain a single concatenated noise process: the noise of
+micro step m inside macro step n is step n*m0 + m of replica j's stream.
+A run therefore opens one Philox stream per (seed, replica) at step 0,
+``NoiseStreamKey(seed, replica=j)``, and reads it forward in chunks of at
+most one macro block and about ``_CHUNK_STEPS * K`` numbers, each converted
+in place in one buffer.
 
 :func:`run_hmm` takes one seed or a sequence of S seeds.  A sequence runs S
 independent copies in lock step: the slow fields are (S, K) and the replica
@@ -53,7 +52,7 @@ from .coefficients import (
     check_weak_dissipativity,
 )
 from .micro import _CHUNK_STEPS, contraction_factor, step_replicas
-from .noise import NoiseStreams, derive_key, draw_increments
+from .noise import NoiseStreamKey, NoiseStreams, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
 
 __all__ = [
@@ -157,8 +156,9 @@ class HmmRun:
 def _increments(seeds: Sequence[int], params: HmmParams, K: int) -> Iterator[np.ndarray]:
     """Yield the (S, M, K) noise increments of a whole run, n_0 macro blocks.
 
-    Opens one stream per (seed, replica j) at macro step 0 and reads it
-    forward: the i-th step yielded is micro step i % m0 of macro step i // m0.
+    Opens one stream per (seed, replica j) at step 0 and reads it forward:
+    the i-th step yielded is stream step i, micro step i % m0 of macro step
+    i // m0.
     Chunks of max(1, _CHUNK_STEPS // (S M)) steps, and at most one macro
     block, are converted into one buffer allocated here; each yielded step is
     a view that the next chunk overwrites.  The cap at m0 keeps the buffer in
@@ -166,9 +166,7 @@ def _increments(seeds: Sequence[int], params: HmmParams, K: int) -> Iterator[np.
     """
     S, M, m0 = len(seeds), params.M, params.m_0
     streams = NoiseStreams(
-        [derive_key(s, 0, 0, j, steps_per_macro=m0)
-         for s in seeds for j in range(1, M + 1)],
-        K,
+        [NoiseStreamKey(s, replica=j) for s in seeds for j in range(1, M + 1)], K
     )
     total = params.n_0 * m0
     chunk = min(max(1, _CHUNK_STEPS // (S * M)), m0)

@@ -140,9 +140,12 @@ def run_micro(
 
     Noise for step m (0-based) comes from ``key.advanced(m)``, so the run is
     a pure function of the key; batched draws reproduce per-step draws bit
-    for bit.  A non-finite state raises ValueError naming the key's seed and
-    the range of steps it appeared in.
+    for bit.  A ``tau`` that is not positive and finite raises ValueError
+    naming it; a non-finite state raises one naming the key's seed and the
+    range of steps it appeared in.
     """
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if warmup < 1:

@@ -1,9 +1,11 @@
 """Reproducible cylindrical-Wiener increments in the truncated sine basis.
 
-Each (macro step n, micro step m, replica j) owns a disjoint block of a
-counter-based Philox stream, so increments are pure functions of the key:
-identical keys give bit-identical Gaussians, distinct keys give independent
-ones, and trajectories are reproducible regardless of evaluation order.
+A noise address is :class:`NoiseStreamKey` (master seed, stream tag,
+replica, step): the seed, tag and replica key one counter-based Philox
+stream, and the step is the position in it.  Increments are pure functions
+of the key: identical keys give bit-identical Gaussians, distinct keys give
+independent ones, and trajectories are reproducible regardless of
+evaluation order.
 
 Gaussian sampling is pinned project-wide: each mode takes one raw 64-bit
 Philox word, keeps the top 53 bits, centers to a uniform in (0, 1) and maps
@@ -11,29 +13,27 @@ it through the inverse normal CDF.  The golden digests in
 ``tests/golden_digests.json`` depend on this choice; do not swap in a
 different normal generator.
 
-Within a replica stream the draws are laid out by a global step position.
-When the steps-per-macro count m0 is known the position is n*m0 + m (the
-micro chains of consecutive macro steps read one concatenated noise process);
-otherwise macro and micro indices occupy disjoint bit ranges.  Steps are
-padded to whole 4-word Philox blocks, which makes a batched draw of many
-consecutive steps bit-identical to per-step draws, and a stream read forward
-bit-identical to streams opened at the later positions.
+Steps are padded to whole 4-word Philox blocks, so step n starts at counter
+n * ceil(K/4).  That makes a batched draw of many consecutive steps
+bit-identical to per-step draws, and a stream read forward bit-identical to
+streams opened at the later steps.
 
 :class:`NoiseStreams` is that forward read: it opens one Philox stream per
 key once and hands out the next steps of all of them as one
 (steps, streams, K) array, converted in place in a single buffer.  The
-multiscale driver opens one stream per (seed, replica) at macro step 0 and
-reads it forward for the whole run; the fast-chain run and the direct
-solver open theirs (one per key, one per seed) the same way.
-:func:`draw_increments` reads open streams; :func:`standard_normals` is the
-one keyed entry, a fresh stream at the key's position.  Streams that are
-done are dropped from the end with :meth:`NoiseStreams.keep`.
+multiscale driver opens one stream per (seed, replica) at step 0 and reads
+it forward for the whole run, so micro step m of macro step n is step
+n * m0 + m; the fast-chain run and the direct solver open theirs (one per
+key, one per seed) the same way.  :func:`draw_increments` reads open
+streams; :func:`standard_normals` is the one keyed entry, a fresh stream at
+the key's step.  Streams that are done are dropped from the end with
+:meth:`NoiseStreams.keep`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -41,7 +41,6 @@ from scipy.special import ndtri
 __all__ = [
     "NoiseStreamKey",
     "NoiseStreams",
-    "derive_key",
     "draw_increments",
     "standard_normals",
     "mix_seed",
@@ -54,59 +53,29 @@ _CAST_BLOCK = 1 << 14  # numbers per in-place cast: 128 KiB, well inside L2
 
 @dataclass(frozen=True)
 class NoiseStreamKey:
-    """Address of one micro-step noise block.
+    """Address of one step of noise: stream (master seed, stream tag,
+    replica) at counter position ``step``.
 
-    ``steps_per_macro`` (m0) selects the concatenated layout; ``stream_tag``
-    separates logically distinct consumers (e.g. the direct solver) that share
-    one master seed.
+    ``stream_tag`` separates logically distinct consumers (e.g. the direct
+    solver) that share one master seed.  All fields but the seed are
+    keyword-only, so a positional call cannot address another stream.
     """
 
     master_seed: int
+    _: KW_ONLY
     replica: int
-    macro_step: int
-    micro_step: int
-    steps_per_macro: int | None = None
+    step: int = 0
     stream_tag: int = 0
 
     def __post_init__(self):
         if self.replica < 0 or self.replica >= 1 << 32:
             raise ValueError(f"replica index out of range: {self.replica}")
-        if self.macro_step < 0 or self.micro_step < 0:
-            raise ValueError("macro_step and micro_step must be nonnegative")
-        if self.steps_per_macro is not None and self.micro_step >= self.steps_per_macro:
-            raise ValueError(
-                f"micro_step {self.micro_step} outside macro block of "
-                f"{self.steps_per_macro} steps"
-            )
-
-    def position(self) -> int:
-        """Global step index of this key inside its replica stream."""
-        if self.steps_per_macro is not None:
-            return self.macro_step * self.steps_per_macro + self.micro_step
-        return (self.macro_step << 64) | self.micro_step
+        if self.step < 0:
+            raise ValueError(f"step must be nonnegative, got {self.step}")
 
     def advanced(self, steps: int) -> "NoiseStreamKey":
-        """Key of the block ``steps`` micro steps later in the same stream."""
-        return replace(self, micro_step=self.micro_step + steps)
-
-
-def derive_key(
-    master_seed: int,
-    macro_step: int,
-    micro_step: int,
-    replica: int,
-    steps_per_macro: int | None = None,
-    stream_tag: int = 0,
-) -> NoiseStreamKey:
-    """Build the stream key for (macro step, micro step, replica)."""
-    return NoiseStreamKey(
-        master_seed=master_seed,
-        replica=replica,
-        macro_step=macro_step,
-        micro_step=micro_step,
-        steps_per_macro=steps_per_macro,
-        stream_tag=stream_tag,
-    )
+        """Key of the step ``steps`` steps later in the same stream."""
+        return replace(self, step=self.step + steps)
 
 
 def _philox_words(key: NoiseStreamKey) -> np.ndarray:
@@ -136,7 +105,7 @@ class NoiseStreams:
         self.K = K
         self._words = 4 * blocks
         self._gens = [
-            np.random.Philox(key=_philox_words(key), counter=key.position() * blocks)
+            np.random.Philox(key=_philox_words(key), counter=key.step * blocks)
             for key in keys
         ]
         if not self._gens:

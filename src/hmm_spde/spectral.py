@@ -76,11 +76,17 @@ class OperatorSpec:
 
     def euler_denominator(self, step: float | np.ndarray) -> np.ndarray:
         """1 + step * eigenvalues, read-only and computed once per step: a (K,)
-        row for one step, (S, K) rows for an (S, 1) column of per-row steps."""
+        row for one step, (S, K) rows for an (S, 1) column of per-row steps.
+        A step that is negative, not finite, or whose product with the
+        largest eigenvalue is not finite raises ValueError naming it."""
         key = (np.shape(step), np.asarray(step, float).tobytes()) if np.ndim(step) else step
         den = self._denominators.get(key)
         if den is None:
             _check_step(step, "step")
+            s, mu = float(np.max(step)), float(self.eigenvalues[-1])
+            if not s * mu < np.inf:  # Python floats: no overflow warning
+                raise ValueError(f"step {s} times the largest eigenvalue {mu:.6g} "
+                                 f"is not finite")
             if len(self._denominators) >= 64:  # a sweep over many step sizes
                 self._denominators.clear()
             den = self._denominators[key] = 1.0 + step * self.eigenvalues

@@ -33,7 +33,7 @@ def test_c01_linear_fast_invariant_law():
     op = hs.laplacian_spec(K)
     warmup, window = 20_000, 1_000_000
     res = hs.run_micro(
-        np.zeros(K), default_x0(K), warmup + window, hs.derive_key(101, 0, 0, 1),
+        np.zeros(K), default_x0(K), warmup + window, hs.NoiseStreamKey(101, replica=1),
         hs.preset("p1"), op, tau, warmup=warmup + 1, track_mode_moments=True,
     )
     assert res.window_size == window
@@ -67,12 +67,12 @@ def test_c02_pathwise_contraction():
         rho = hs.contraction_factor(tau, spec.lipschitz_g_y, op.smallest_eigenvalue)
         log_rho = math.log(rho)
         res_mult = 1 / (1 + tau * op.eigenvalues)
-        y = hs.standard_normals(hs.derive_key(202, 0, 0, 1, stream_tag=2),
+        y = hs.standard_normals(hs.NoiseStreamKey(202, replica=1, stream_tag=2),
                                 pairs * 2 * K).reshape(pairs, 2, K)
         log_r0 = np.log(np.sum((y[:, 0] - y[:, 1]) ** 2, axis=1))
         for m in range(1, steps + 1):
             incr = hs.standard_normals(
-                hs.derive_key(203, 0, m - 1, 1), pairs * K
+                hs.NoiseStreamKey(203, replica=1, step=m - 1), pairs * K
             ).reshape(pairs, 1, K) * math.sqrt(tau)
             y = hs.step_replicas(y, x_grid, xi, incr, res_mult, tau, spec)
             r_sq = np.sum((y[:, 0] - y[:, 1]) ** 2, axis=1)
@@ -172,7 +172,7 @@ def test_c07_averaged_coefficient_oracle():
     # well inside the Monte-Carlo band
     tau = 2e-4
     sampled = hs.fbar_sampled(
-        spec, np.zeros(K), op, tau, 400_000, hs.derive_key(707, 0, 0, 1), batches=16
+        spec, np.zeros(K), op, tau, 400_000, hs.NoiseStreamKey(707, replica=1), batches=16
     )
     dev = abs(sampled.grid_values[i_mid] - exact)
     ok_sampled = dev <= 4 * sampled.grid_stderr[i_mid]

@@ -13,7 +13,7 @@ from hmm_spde.averaging import (
     run_averaged,
 )
 from hmm_spde.coefficients import CoefficientSpec, preset
-from hmm_spde.noise import derive_key
+from hmm_spde.noise import NoiseStreamKey
 from hmm_spde.spectral import (
     apply_semigroup,
     grid_points,
@@ -200,7 +200,7 @@ class TestFbarSampled:
         spec = cos_only_spec()
         tau = 0.002
         x0 = np.zeros(K)
-        res = fbar_sampled(spec, x0, op, tau, 200_000, derive_key(5, 0, 0, 1))
+        res = fbar_sampled(spec, x0, op, tau, 200_000, NoiseStreamKey(5, replica=1))
         oracle = to_grid(make_gaussian_fbar(spec, gaussian_discrete(op, tau))(x0))
         i = K // 2  # xi = 1/2 exactly
         assert abs(res.grid_values[i] - oracle[i]) <= 4 * res.grid_stderr[i]
@@ -214,7 +214,7 @@ class TestFbarSampled:
         spec = preset("p3", c=1.0)
         tau = 0.002
         x0 = np.zeros(K)
-        res = fbar_sampled(spec, x0, op, tau, 200_000, derive_key(6, 0, 0, 1))
+        res = fbar_sampled(spec, x0, op, tau, 200_000, NoiseStreamKey(6, replica=1))
         oracle = to_grid(make_gaussian_fbar(spec, gaussian_shifted(op, 1.0))(x0))
         i = K // 2
         assert abs(res.grid_values[i] - oracle[i]) <= 4 * res.grid_stderr[i]
@@ -223,14 +223,14 @@ class TestFbarSampled:
         with pytest.raises(ValueError):
             fbar_sampled(
                 preset("p1"), np.zeros(4), laplacian_spec(4), 0.01, 0,
-                derive_key(0, 0, 0, 1),
+                NoiseStreamKey(0, replica=1),
             )
 
     def test_deterministic(self):
         K = 7
         op = laplacian_spec(K)
-        a = fbar_sampled(preset("p1"), np.zeros(K), op, 0.01, 2000, derive_key(1, 0, 0, 1))
-        b = fbar_sampled(preset("p1"), np.zeros(K), op, 0.01, 2000, derive_key(1, 0, 0, 1))
+        a = fbar_sampled(preset("p1"), np.zeros(K), op, 0.01, 2000, NoiseStreamKey(1, replica=1))
+        b = fbar_sampled(preset("p1"), np.zeros(K), op, 0.01, 2000, NoiseStreamKey(1, replica=1))
         np.testing.assert_array_equal(a.grid_values, b.grid_values)
         np.testing.assert_array_equal(a.grid_stderr, b.grid_stderr)
 

@@ -233,6 +233,17 @@ REJECTED = [
     pytest.param(["hmm", "run", "--tol", "0.3", "--T", "1e308"],
                  r"hmm-spde hmm run: step count T/macro_dt = 1e\+308/0\.3 is not finite$",
                  id="hmm-tol-T-huge"),
+    # 1 + tau * mu_K overflowed with a RuntimeWarning and the run went on;
+    # -1 and 0 were rejected under the names "step" and "dt"
+    pytest.param(["fbar", "--problem", "p2", "--K", "7", "--tau", "1e308", "--window", "200"],
+                 r"hmm-spde fbar: step 1e\+308 times the largest eigenvalue 483\.611 "
+                 r"is not finite$", id="fbar-tau-huge"),
+    pytest.param(["fbar", "--problem", "p2", "--K", "7", "--tau", "-1", "--window", "200"],
+                 "hmm-spde fbar: tau must be positive and finite, got -1.0$",
+                 id="fbar-tau-negative"),
+    pytest.param(["fbar", "--problem", "p2", "--K", "7", "--tau", "0", "--window", "200"],
+                 "hmm-spde fbar: tau must be positive and finite, got 0.0$",
+                 id="fbar-tau-zero"),
 ]
 
 

@@ -11,7 +11,7 @@ from hmm_spde.coefficients import CoefficientSpec, eval_F, eval_G, preset
 from hmm_spde.direct import DIRECT_STREAM_TAG, run_direct
 from hmm_spde.micro import discrete_stationary_variances
 from hmm_spde.experiments import default_x0
-from hmm_spde.noise import derive_key, mix_seed, standard_normals
+from hmm_spde.noise import NoiseStreamKey, mix_seed, standard_normals
 from hmm_spde.spectral import laplacian_spec
 
 P1 = preset("p1")
@@ -35,7 +35,7 @@ class TestDirectStep:
         y = np.array([0.0, 0.0, 2.0, -1.0])
         dt = 0.05
         run = run_direct(x, y, zero_spec(), op, op, epsilon=1.0, dt=dt, T=dt, seed=12)
-        noise = standard_normals(derive_key(12, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG), K)
+        noise = standard_normals(NoiseStreamKey(12, replica=1, stream_tag=DIRECT_STREAM_TAG), K)
         np.testing.assert_allclose(run.final_X, x / (1 + dt * op.eigenvalues), rtol=1e-14)
         np.testing.assert_allclose(run.final_Y, (y + np.sqrt(dt) * noise)
                                    / (1 + dt * op.eigenvalues), rtol=1e-14)
@@ -53,7 +53,7 @@ class TestDirectStep:
         )
         x, y = default_x0(K), 0.5 * np.ones(K)
         run = run_direct(x, y, spec, op, op, epsilon=eps, dt=dt, T=n * dt, seed=7)
-        noise = standard_normals(derive_key(7, 0, 0, 1, stream_tag=DIRECT_STREAM_TAG), K,
+        noise = standard_normals(NoiseStreamKey(7, replica=1, stream_tag=DIRECT_STREAM_TAG), K,
                                  count=n) * np.sqrt(tau)
         for z in noise:
             x, y = ((x + dt * eval_F(spec, x, y)) / (1 + dt * op.eigenvalues),

@@ -52,7 +52,7 @@ from hmm_spde.experiments import (
 )
 from hmm_spde.hmm import HmmParams, run_hmm
 from hmm_spde.micro import run_micro
-from hmm_spde.noise import _blocks_per_step, _philox_words, derive_key, standard_normals
+from hmm_spde.noise import NoiseStreamKey, _blocks_per_step, _philox_words, standard_normals
 from hmm_spde.spectral import laplacian_spec
 
 RECORD = Path(__file__).with_name("golden_digests.json")
@@ -80,20 +80,21 @@ def _report_digest(report) -> str:
 
 def _standard_normals():
     return _digest(
-        standard_normals(derive_key(2024, 3, 1, 5, steps_per_macro=4), 63, count=16),
-        standard_normals(derive_key(2**40 + 1, 1, 7, 2), 15, count=3),
-        standard_normals(derive_key(9, 0, 0, 1, stream_tag=2), 5),
+        standard_normals(NoiseStreamKey(2024, replica=5, step=13), 63, count=16),
+        standard_normals(NoiseStreamKey(2**40 + 1, replica=2, step=2**64 + 7), 15, count=3),
+        standard_normals(NoiseStreamKey(9, replica=1, stream_tag=2), 5),
     )
 
 
 def _philox_raw_words():
-    # the keys of _standard_normals: m0 layout, 64-bit macro layout, stream tag
+    # the keys of _standard_normals: a step inside one 64-bit counter word,
+    # a step past 2**64, a stream tag
     h = hashlib.sha256()
-    for key, K, count in ((derive_key(2024, 3, 1, 5, steps_per_macro=4), 63, 16),
-                          (derive_key(2**40 + 1, 1, 7, 2), 15, 3),
-                          (derive_key(9, 0, 0, 1, stream_tag=2), 5, 1)):
+    for key, K, count in ((NoiseStreamKey(2024, replica=5, step=13), 63, 16),
+                          (NoiseStreamKey(2**40 + 1, replica=2, step=2**64 + 7), 15, 3),
+                          (NoiseStreamKey(9, replica=1, stream_tag=2), 5, 1)):
         blocks = _blocks_per_step(K)
-        bg = np.random.Philox(key=_philox_words(key), counter=key.position() * blocks)
+        bg = np.random.Philox(key=_philox_words(key), counter=key.step * blocks)
         h.update(bg.random_raw(count * 4 * blocks).astype("<u8").tobytes())
     return h.hexdigest()
 
@@ -129,7 +130,7 @@ def _run_micro(problem="p2", steps=40, warmup=5):
     op = laplacian_spec(K)
     saved, micro_mod._CHUNK_STEPS = micro_mod._CHUNK_STEPS, 16
     try:
-        res = run_micro(np.zeros(K), default_x0(K), steps, derive_key(29, 0, 0, 1),
+        res = run_micro(np.zeros(K), default_x0(K), steps, NoiseStreamKey(29, replica=1),
                         preset(problem), op, 0.05, warmup=warmup,
                         track_mode_moments=True)
     finally:
@@ -140,7 +141,7 @@ def _run_micro(problem="p2", steps=40, warmup=5):
 
 def _fbar_sampled():
     res = fbar_sampled(preset("p2"), default_x0(K), laplacian_spec(K), 0.01, 640,
-                       derive_key(31, 0, 0, 1))
+                       NoiseStreamKey(31, replica=1))
     return _digest(res.field, res.grid_values, res.grid_stderr)
 
 

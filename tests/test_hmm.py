@@ -15,10 +15,10 @@ from hmm_spde.hmm import (
     run_hmm,
 )
 from hmm_spde.micro import discrete_stationary_variances
-from hmm_spde.averaging import run_averaged
+from hmm_spde.averaging import reference_solution, run_averaged
 from hmm_spde.coefficients import eval_F
-from hmm_spde.experiments import default_x0, sample_stationary_linear
-from hmm_spde.noise import derive_key, mix_seed, standard_normals
+from hmm_spde.experiments import _setup, default_x0, fit_loglog_slope, sample_stationary_linear
+from hmm_spde.noise import NoiseStreamKey, mix_seed, standard_normals
 from hmm_spde.spectral import h_norm, implicit_euler_step, laplacian_spec
 
 PI2 = np.pi**2
@@ -153,7 +153,7 @@ class TestEstimateFtilde:
         op = laplacian_spec(K)
         tau = 0.05
         steps = 5
-        key = derive_key(3, 0, 0, 1, steps_per_macro=steps)
+        key = NoiseStreamKey(3, replica=1)
         incr = standard_normals(key, K, count=steps) * np.sqrt(tau)
         xi = grid_points(K)
         x = default_x0(K)
@@ -387,7 +387,7 @@ class TestNoiseLayout:
     @pytest.mark.parametrize("problem", ["p1", "p2"])
     def test_macro_step_reads_its_own_blocks(self, monkeypatch, problem, chunk):
         # every increment that run_hmm hands to micro step m of macro step n
-        # is block (n, m) of replica j's stream, for every seed, however the
+        # is step n*m0 + m of replica j's stream, for every seed, however the
         # streams are read in chunks
         K = 5
         op = laplacian_spec(K)
@@ -408,11 +408,11 @@ class TestNoiseLayout:
         assert len(handed) == p.n_0 * m0
         for s, seed in enumerate(seeds):
             for n in range(p.n_0):
-                for j in range(1, p.M + 1):
-                    key = derive_key(seed, n, 0, j, steps_per_macro=m0)
-                    got = np.stack([handed[n * m0 + m][s, j - 1] for m in range(m0)])
-                    want = standard_normals(key, K, count=m0) * np.sqrt(p.tau)
-                    np.testing.assert_array_equal(got, want)
+                for m in range(m0):
+                    for j in range(1, p.M + 1):
+                        key = NoiseStreamKey(seed, replica=j, step=n * m0 + m)
+                        want = standard_normals(key, K) * np.sqrt(p.tau)
+                        np.testing.assert_array_equal(handed[n * m0 + m][s, j - 1], want)
 
 
 class TestSeedAxis:
@@ -547,6 +547,32 @@ class TestChooseParams:
         for T in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="^T must be positive and finite, got"):
                 choose_params(0.3, 1e-3, "weak", T=T)
+
+    # the mean strong error of a run with choose_params(tol) stays under
+    # ERROR_PER_TOL * tol, and falls at least at first order in tol
+    ERROR_PER_TOL = 0.5
+    MIN_SLOPE = 1.0
+
+    @pytest.mark.parametrize("branch", ["M1", "N1"])
+    def test_tol_is_delivered(self, branch):
+        # p1, K = 15, 32 seeds, zero fast start: each run ends at n_0 dt,
+        # which is compared with the averaged flow at fine step n_0 dt / 256
+        op, coeffs, fbar, x0 = _setup("p1", 15)
+        tols = (0.3, 0.2, 0.1)
+        errors, stderrs = [], []
+        for i, tol in enumerate(tols):
+            p = choose_params(tol, 1e-4, "strong", T=0.5, coeffs=coeffs, op_b=op,
+                              strong_branch=branch)
+            seeds = [mix_seed(11, i, s) for s in range(32)]
+            run = run_hmm(x0, np.zeros(15), coeffs, op, op, p, seeds)
+            t_end = p.n_0 * p.macro_dt
+            ref = reference_solution(x0, fbar, op, T=t_end, fine_dt=t_end / 256).field
+            norms = [np.linalg.norm(x - ref) for x in run.X_final]
+            errors.append(np.mean(norms))
+            stderrs.append(np.std(norms, ddof=1) / math.sqrt(len(norms)))
+            assert errors[-1] / tol <= self.ERROR_PER_TOL, (tol, errors[-1])
+        slope = fit_loglog_slope(tols, errors, stderrs)[0]
+        assert slope >= self.MIN_SLOPE, (errors, slope)
 
 
 class TestCostCompare:

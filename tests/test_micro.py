@@ -13,7 +13,7 @@ from hmm_spde.micro import (
     run_micro,
     step_replicas,
 )
-from hmm_spde.noise import derive_key, standard_normals
+from hmm_spde.noise import NoiseStreamKey, standard_normals
 from hmm_spde.spectral import grid_points, h_norm, laplacian_spec, to_grid, to_spectral
 
 PI2 = np.pi**2
@@ -56,15 +56,14 @@ class TestMicroStep:
     def test_mismatched_k_rejected(self):
         op = laplacian_spec(3)
         with pytest.raises(ValueError):
-            run_micro(np.zeros(4), np.zeros(4), 1, derive_key(0, 0, 0, 1), P1, op, 0.1)
+            run_micro(np.zeros(4), np.zeros(4), 1, NoiseStreamKey(0, replica=1), P1, op, 0.1)
 
-    @pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("tau", [-0.1, 0.0, np.nan, np.inf])
     def test_bad_tau_rejected(self, tau):
-        # the resolvent multipliers come from op.euler_denominator, which
-        # checks the step before any noise is drawn
+        # rejected by name before the resolvent or any noise is formed
         op = laplacian_spec(3)
-        with pytest.raises(ValueError, match="^step must be nonnegative and finite"):
-            run_micro(np.zeros(3), np.zeros(3), 1, derive_key(0, 0, 0, 1), P1, op, tau)
+        with pytest.raises(ValueError, match="^tau must be positive and finite"):
+            run_micro(np.zeros(3), np.zeros(3), 1, NoiseStreamKey(0, replica=1), P1, op, tau)
 
     def test_pathwise_contraction_single_step(self):
         # same noise, strictly dissipative g: squared distance contracts by rho
@@ -253,7 +252,7 @@ class TestStationaryVariance:
         tau = 0.05
         n = 200_000
         res = run_micro(
-            np.zeros(K), np.zeros(K), n, derive_key(21, 0, 0, 1), P1, op, tau,
+            np.zeros(K), np.zeros(K), n, NoiseStreamKey(21, replica=1), P1, op, tau,
             warmup=2000, track_mode_moments=True,
         )
         v_emp = res.mode_second_moment[0] - res.mode_mean[0] ** 2
@@ -268,7 +267,7 @@ class TestRunMicro:
     def test_zero_steps_flagged(self):
         K = 3
         op = laplacian_spec(K)
-        res = run_micro(np.ones(K), np.zeros(K), 0, derive_key(0, 0, 0, 1), P1, op, 0.1)
+        res = run_micro(np.ones(K), np.zeros(K), 0, NoiseStreamKey(0, replica=1), P1, op, 0.1)
         np.testing.assert_array_equal(res.y, np.ones(K))
         assert res.f_window_mean is None
         assert res.window_size == 0
@@ -277,14 +276,15 @@ class TestRunMicro:
         K = 3
         op = laplacian_spec(K)
         res = run_micro(
-            np.zeros(K), np.zeros(K), 10, derive_key(0, 0, 0, 1), P1, op, 0.1, warmup=4
+            np.zeros(K), np.zeros(K), 10, NoiseStreamKey(0, replica=1), P1, op, 0.1, warmup=4
         )
         assert res.window_size == 7  # m = 4..10 inclusive
 
     def test_deterministic_in_key(self):
         K = 5
         op = laplacian_spec(K)
-        args = (np.zeros(K), np.zeros(K), 50, derive_key(9, 2, 0, 3), P1, op, 0.02)
+        args = (np.zeros(K), np.zeros(K), 50, NoiseStreamKey(9, replica=3, step=2 * 2**64),
+                P1, op, 0.02)
         a = run_micro(*args)
         b = run_micro(*args)
         np.testing.assert_array_equal(a.y, b.y)
@@ -293,7 +293,7 @@ class TestRunMicro:
     def test_chunked_equals_unchunked(self, monkeypatch):
         K = 4
         op = laplacian_spec(K)
-        args = (np.zeros(K), np.zeros(K), 300, derive_key(3, 0, 0, 1), P1, op, 0.05)
+        args = (np.zeros(K), np.zeros(K), 300, NoiseStreamKey(3, replica=1), P1, op, 0.05)
         full = run_micro(*args)
         monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", 7)
         chunked = run_micro(*args)
@@ -305,8 +305,8 @@ class TestRunMicro:
     def test_any_chunk_split(self, chunk, steps, warmup, K):
         # g != 0 and mode moments: every output equals the unchunked run
         op = laplacian_spec(K)
-        args = (np.full(K, 0.3), np.linspace(-1, 1, K), steps, derive_key(2**40 + 3, 1, 2, 4),
-                preset("p2"), op, 0.05)
+        key = NoiseStreamKey(2**40 + 3, replica=4, step=2**64 + 2)
+        args = (np.full(K, 0.3), np.linspace(-1, 1, K), steps, key, preset("p2"), op, 0.05)
         kw = dict(warmup=warmup, track_mode_moments=True)
         full = run_micro(*args, **kw)
         with mock.patch.object(micro_mod, "_CHUNK_STEPS", chunk):
@@ -328,7 +328,7 @@ class TestRunMicro:
                                g=None, sup_f=1.0, sup_g=0.0, lipschitz_g_y=0.0)
         x = np.linspace(-1, 1, K)
         monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", 7)
-        res = run_micro(np.zeros(K), x, 30, derive_key(1, 0, 0, 1), spec, op, 0.05, warmup=3)
+        res = run_micro(np.zeros(K), x, 30, NoiseStreamKey(1, replica=1), spec, op, 0.05, warmup=3)
         row = spec.f(grid_points(K), to_grid(x), None)
         acc = np.zeros(K)
         for _ in range(28):
@@ -343,7 +343,7 @@ class TestRunMicro:
         )
         K = 3
         op = laplacian_spec(K)
-        args = (np.zeros(K), np.zeros(K), 10, derive_key(4, 0, 0, 1), nan_g, op, 0.1)
+        args = (np.zeros(K), np.zeros(K), 10, NoiseStreamKey(4, replica=1), nan_g, op, 0.1)
         with pytest.raises(ValueError, match=r"seed\(s\) \[4\] within steps 1\.\.10"):
             run_micro(*args)
         # the check runs once per noise chunk
@@ -363,7 +363,7 @@ class TestRunMicro:
         tau = 0.05
         n = 100_000
         res = run_micro(
-            np.zeros(K), np.zeros(K), n, derive_key(17, 0, 0, 1), spec_y, op, tau,
+            np.zeros(K), np.zeros(K), n, NoiseStreamKey(17, replica=1), spec_y, op, tau,
             warmup=2000,
         )
         v1 = discrete_stationary_variances(tau, op)[0]
@@ -383,7 +383,7 @@ class TestRunMicro:
         y1 = rng.standard_normal(K)
         y2 = rng.standard_normal(K)
         x = rng.standard_normal(K) * 0.5
-        key = derive_key(33, 0, 0, 1)
+        key = NoiseStreamKey(33, replica=1)
         steps = 300
         incr = increments(key, tau, K, steps)
         xi = grid_points(K)
@@ -411,7 +411,7 @@ class TestRunMicro:
         w = np.zeros(K)
         d0 = h_norm(y - w)
         x = rng.standard_normal(K) * 0.3
-        key = derive_key(44, 0, 0, 1)
+        key = NoiseStreamKey(44, replica=1)
         steps = 400
         incr = increments(key, tau, K, steps)
         xi = grid_points(K)
@@ -433,7 +433,7 @@ class TestRunMicro:
         R = 4000
         finals = {1: [], 10: [], 100: []}
         for rep in range(R):
-            key = derive_key(1234, 0, 0, rep + 1)
+            key = NoiseStreamKey(1234, replica=rep + 1)
             incr = increments(key, tau, K, 100)
             y = np.zeros(K)
             res_mult = 1 / (1 + tau * op.eigenvalues)

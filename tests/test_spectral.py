@@ -346,6 +346,16 @@ class TestPerRowSteps:
         with pytest.raises(ValueError, match="nonnegative and finite"):
             op.euler_denominator(np.array([[0.1], [bad], [0.2]]))
 
+    def test_overflowing_step_rejected(self):
+        # a finite step whose product with mu_K overflows fails by name
+        # before the row is formed (a RuntimeWarning fails the suite)
+        op = laplacian_spec(3)
+        mu = op.eigenvalues[-1]
+        for step in (1e308, np.array([[0.1], [1e308]])):
+            with pytest.raises(ValueError, match=r"^step 1e\+308 times the largest eigenvalue"):
+                op.euler_denominator(step)
+        assert op.euler_denominator(1e300)[-1] == 1.0 + 1e300 * mu
+
     @pytest.mark.parametrize("K", [1, 15])
     def test_euler_step_equals_per_row_calls(self, K):
         rng = np.random.default_rng(K)
