@@ -123,6 +123,17 @@ class FbarSampled:
     window: int
 
 
+def _check_sampling(op_b: OperatorSpec, tau: float, window: int, batches: int) -> None:
+    """Raise ValueError naming the tau, batches or window fbar_sampled cannot run."""
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    op_b.euler_denominator(tau)
+    if batches < 2:
+        raise ValueError(f"batches must be >= 2, got {batches}")
+    if window < batches:
+        raise ValueError(f"window {window} is shorter than batches={batches}")
+
+
 def fbar_sampled(
     spec: CoefficientSpec,
     x: np.ndarray,
@@ -134,32 +145,18 @@ def fbar_sampled(
 ) -> FbarSampled:
     """Estimate the averaged coefficient by a long single-chain time average.
 
-    The chain starts at zero and runs max(window // 10, 1) warm-up steps
-    from ``key``, then the window.  Splits the window into ``batches``
-    consecutive batches and reports the batch-means standard error per grid
-    point; the batch length should exceed the chain's correlation time
-    ~ (1 + tau mu_1)/(tau mu_1) steps.
+    One :func:`run_micro` call runs the chain from zero at ``key``:
+    max(window // 10, 1) warm-up steps, then ``batches`` consecutive batches
+    of window // batches steps, read forward from one stream.  Reports the
+    batch-means standard error per grid point; the batch length should
+    exceed the chain's correlation time ~ (1 + tau mu_1)/(tau mu_1) steps.
     """
-    if window < 1:
-        raise ValueError("window must contain at least one step")
-    if batches < 2 or batches > window:
-        raise ValueError("need 2 <= batches <= window")
-    K = x.shape[-1]
+    _check_sampling(op_b, tau, window, batches)
     warmup = max(window // 10, 1)
     per_batch = window // batches
-    # warm-up: advance without accumulating
-    y = run_micro(np.zeros(K), x, warmup, key, spec, op_b, tau, warmup=warmup).y
-    offset = warmup
-
-    batch_means = np.empty((batches, K))
-    for b in range(batches):
-        res = run_micro(
-            y, x, per_batch, key.advanced(offset), spec, op_b, tau, warmup=1
-        )
-        y = res.y
-        batch_means[b] = to_grid(res.f_window_mean)
-        offset += per_batch
-
+    res = run_micro(np.zeros(x.shape[-1]), x, warmup + per_batch * batches, key,
+                    spec, op_b, tau, warmup=warmup + 1, batches=batches)
+    batch_means = to_grid(res.f_batch_means)
     grid_mean = batch_means.mean(axis=0)
     grid_stderr = batch_means.std(axis=0, ddof=1) / np.sqrt(batches)
     return FbarSampled(

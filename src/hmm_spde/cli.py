@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import fbar_sampled, make_gaussian_fbar
+from .averaging import _check_sampling, fbar_sampled, make_gaussian_fbar
 from .coefficients import PRESET_NAMES, preset
 from .direct import run_direct
 from .experiments import (
@@ -175,13 +175,13 @@ def _cmd_fbar(args) -> None:
     coeffs = preset(args.problem)
     x0 = default_x0(K)
     xi = grid_points(K)
+    batches = 32
+    _check_sampling(op_b, args.tau, args.window, batches)  # on every problem
     try:
         measure = _oracle_measure(coeffs, op_b)
     except ValueError:  # no Gaussian invariant law: sample the fast chain
-        res = fbar_sampled(
-            coeffs, x0, op_b, args.tau, args.window,
-            NoiseStreamKey(args.seed, replica=1), batches=32,
-        )
+        res = fbar_sampled(coeffs, x0, op_b, args.tau, args.window,
+                           NoiseStreamKey(args.seed, replica=1), batches)
         values, stderr = res.grid_values, res.grid_stderr
     else:
         values = to_grid(make_gaussian_fbar(coeffs, measure)(x0))

@@ -18,7 +18,7 @@ chunks of at most ``_CHUNK_STEPS`` steps into one buffer allocated per run,
 so the chain is the same whatever the chunk size.  Only the recurrence runs
 step by step: each step's state replaces the increment it used, and the
 window statistics (grid transform, f, mode moments) then run once per chunk
-on blocks of those states, summed in step order.
+on blocks of those states, cut at batch edges and summed in step order.
 """
 
 from __future__ import annotations
@@ -109,20 +109,18 @@ def discrete_stationary_variances(tau: float, op_b: OperatorSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MicroRunResult:
-    """Endpoint and window statistics of a fast-chain run.
-
-    ``y`` is the fast field after the last step.
-    ``f_window_mean`` is the spectral average of F(frozen_x, Y_m) over the
-    window m = warmup..steps (None when the window is empty).  Mode moments,
-    when requested, average the raw and squared mode coefficients over the
-    same window.
-    """
+    """Endpoint ``y`` of a fast-chain run and its window statistics (None when
+    the window m = warmup..steps is empty): the spectral averages of
+    F(frozen_x, Y_m) over each batch (``f_batch_means``, (batches, K)) and over
+    the window (``f_window_mean``, (K,)), and those of the raw and squared mode
+    coefficients over the window (``mode_mean``, ``mode_second_moment``)."""
 
     y: np.ndarray
     f_window_mean: np.ndarray | None
+    f_batch_means: np.ndarray | None
     window_size: int
-    mode_mean: np.ndarray | None = None
-    mode_second_moment: np.ndarray | None = None
+    mode_mean: np.ndarray | None
+    mode_second_moment: np.ndarray | None
 
 
 def run_micro(
@@ -134,15 +132,15 @@ def run_micro(
     op_b: OperatorSpec,
     tau: float,
     warmup: int = 1,
-    track_mode_moments: bool = False,
+    batches: int = 1,
 ) -> MicroRunResult:
     """Run the fast chain ``steps`` steps and average F over m >= warmup.
 
-    Noise for step m (0-based) comes from ``key.advanced(m)``, so the run is
-    a pure function of the key; batched draws reproduce per-step draws bit
-    for bit.  A ``tau`` that is not positive and finite raises ValueError
-    naming it; a non-finite state raises one naming the key's seed and the
-    range of steps it appeared in.
+    Step m (0-based) reads step ``key.step + m`` of the key's stream, and
+    each of the ``batches`` equal batches of the window sums its steps from
+    zero in step order.  A window ``batches`` does not divide, a ``tau`` that
+    is not positive and finite, or a non-finite state (named by the key's
+    seed and the steps of its noise chunk) raises ValueError.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -153,16 +151,19 @@ def run_micro(
     K = y0.shape[-1]
     if frozen_x.shape[-1] != K or op_b.mode_count != K:
         raise ValueError("mode-count mismatch")
+    count = max(0, steps - warmup + 1)  # window m = warmup..steps
+    if batches < 1 or count % batches:
+        raise ValueError(f"a window of {count} steps does not split into {batches} batches")
+    per_batch = count // batches
 
     xi = grid_points(K)
     x_grid = to_grid(frozen_x)
     res = 1.0 / op_b.euler_denominator(tau)
 
     y = np.array(y0, dtype=float)
-    f_sum = np.zeros(K)
-    mode_sum = np.zeros(K) if track_mode_moments else None
-    mode_sq_sum = np.zeros(K) if track_mode_moments else None
-    count = max(0, steps - warmup + 1)  # window m = warmup..steps
+    f_sum = np.zeros((batches, K))
+    mode_sum = np.zeros(K)
+    mode_sq_sum = np.zeros(K)
 
     streams = NoiseStreams([key], K)
     buf = np.empty((min(_CHUNK_STEPS, steps), 1, K))
@@ -175,23 +176,27 @@ def run_micro(
             y = step_replicas(y, x_grid, xi, z[i], res, tau, coeffs)
             z[i] = y  # row i now holds the state after step done + i + 1
         _check_finite((key.master_seed,), done + 1, done + n_chunk, y[None])
-        for lo in range(max(0, warmup - done - 1), n_chunk, block):
-            states = z[lo:lo + block]
+        lo = max(0, warmup - done - 1)
+        while lo < n_chunk:  # blocks end at batch edges
+            b, pos = divmod(done + lo + 1 - warmup, per_batch)
+            hi = min(n_chunk, lo + block, lo + per_batch - pos)
+            states = z[lo:hi]
             f_val = coeffs.f(xi, x_grid, to_grid(states))
-            f_sum = _accumulate(f_sum, np.broadcast_to(f_val, states.shape))
-            if track_mode_moments:
-                mode_sum = _accumulate(mode_sum, states)
-                mode_sq_sum = _accumulate(mode_sq_sum, states * states)
+            f_sum[b] = _accumulate(f_sum[b], np.broadcast_to(f_val, states.shape))
+            mode_sum = _accumulate(mode_sum, states)
+            mode_sq_sum = _accumulate(mode_sq_sum, states * states)
+            lo = hi
         done += n_chunk
 
     if count == 0:
-        return MicroRunResult(y=y, f_window_mean=None, window_size=0)
+        return MicroRunResult(y, None, None, 0, None, None)
     return MicroRunResult(
         y=y,
-        f_window_mean=to_spectral(f_sum / count),
+        f_window_mean=to_spectral(f_sum.sum(axis=0) / count),
+        f_batch_means=to_spectral(f_sum / per_batch),
         window_size=count,
-        mode_mean=None if mode_sum is None else mode_sum / count,
-        mode_second_moment=None if mode_sq_sum is None else mode_sq_sum / count,
+        mode_mean=mode_sum / count,
+        mode_second_moment=mode_sq_sum / count,
     )
 
 

@@ -23,17 +23,17 @@ key once and hands out the next steps of all of them as one
 (steps, streams, K) array, converted in place in a single buffer.  The
 multiscale driver opens one stream per (seed, replica) at step 0 and reads
 it forward for the whole run, so micro step m of macro step n is step
-n * m0 + m; the fast-chain run and the direct solver open theirs (one per
-key, one per seed) the same way.  :func:`draw_increments` reads open
-streams; :func:`standard_normals` is the one keyed entry, a fresh stream at
-the key's step.  Streams that are done are dropped from the end with
-:meth:`NoiseStreams.keep`.
+n * m0 + m; the direct solver opens one per seed, and the fast-chain run
+one at its key's step for its warm-up and all window batches.
+:func:`draw_increments` reads open streams; :func:`standard_normals` is the
+one keyed entry, a fresh stream at the key's step.  Streams that are done
+are dropped from the end with :meth:`NoiseStreams.keep`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -72,10 +72,6 @@ class NoiseStreamKey:
             raise ValueError(f"replica index out of range: {self.replica}")
         if self.step < 0:
             raise ValueError(f"step must be nonnegative, got {self.step}")
-
-    def advanced(self, steps: int) -> "NoiseStreamKey":
-        """Key of the step ``steps`` steps later in the same stream."""
-        return replace(self, step=self.step + steps)
 
 
 def _philox_words(key: NoiseStreamKey) -> np.ndarray:

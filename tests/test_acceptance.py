@@ -34,7 +34,7 @@ def test_c01_linear_fast_invariant_law():
     warmup, window = 20_000, 1_000_000
     res = hs.run_micro(
         np.zeros(K), default_x0(K), warmup + window, hs.NoiseStreamKey(101, replica=1),
-        hs.preset("p1"), op, tau, warmup=warmup + 1, track_mode_moments=True,
+        hs.preset("p1"), op, tau, warmup=warmup + 1,
     )
     assert res.window_size == window
     worst = 0.0

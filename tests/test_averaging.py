@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hmm_spde.averaging as averaging_mod
+import hmm_spde.micro as micro_mod
 from hmm_spde.averaging import (
     fbar_sampled,
     gaussian_discrete,
@@ -13,6 +14,7 @@ from hmm_spde.averaging import (
     run_averaged,
 )
 from hmm_spde.coefficients import CoefficientSpec, preset
+from hmm_spde.micro import run_micro
 from hmm_spde.noise import NoiseStreamKey
 from hmm_spde.spectral import (
     apply_semigroup,
@@ -191,6 +193,25 @@ class TestMeasures:
         np.testing.assert_allclose(md.mode_variances, mn.mode_variances, rtol=1e-9)
 
 
+def fbar_sampled_per_batch(spec, x, op_b, tau, window, seed, batches=32):
+    """Reference: the batch-means estimator as one warm-up run, then one run
+    per batch keyed at the batch's first step of the stream."""
+    K = x.shape[-1]
+    warmup = max(window // 10, 1)
+    per_batch = window // batches
+    y = run_micro(np.zeros(K), x, warmup, NoiseStreamKey(seed, replica=1), spec, op_b, tau,
+                  warmup=warmup).y
+    offset = warmup
+    batch_means = np.empty((batches, K))
+    for b in range(batches):
+        res = run_micro(y, x, per_batch, NoiseStreamKey(seed, replica=1, step=offset),
+                        spec, op_b, tau)
+        y = res.y
+        batch_means[b] = to_grid(res.f_window_mean)
+        offset += per_batch
+    return batch_means.mean(axis=0), batch_means.std(axis=0, ddof=1) / np.sqrt(batches)
+
+
 class TestFbarSampled:
     def test_matches_quadrature_g_zero(self):
         # long time average of the pure noise chain against the quadrature
@@ -218,6 +239,53 @@ class TestFbarSampled:
         oracle = to_grid(make_gaussian_fbar(spec, gaussian_shifted(op, 1.0))(x0))
         i = K // 2
         assert abs(res.grid_values[i] - oracle[i]) <= 4 * res.grid_stderr[i]
+
+    @pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+    @pytest.mark.parametrize("K, window, batches", [(1, 200, 8), (5, 203, 8), (15, 641, 32)])
+    @pytest.mark.parametrize("chunk, block", [(None, None), (7, 40), (1, 1)])
+    def test_equals_per_batch_runs(self, monkeypatch, problem, K, window, batches, chunk,
+                                   block):
+        # one forward run gives the per-batch keyed runs' values and errors
+        # bit for bit, also when window % batches != 0 and when noise chunks,
+        # window blocks and batches end at different steps
+        if chunk is not None:
+            monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", chunk)
+            monkeypatch.setattr(micro_mod, "_WINDOW_BLOCK", block)
+        op = laplacian_spec(K)
+        x = np.linspace(-1, 1, K)
+        res = fbar_sampled(preset(problem), x, op, 0.02, window, NoiseStreamKey(3, replica=1),
+                           batches=batches)
+        values, stderr = fbar_sampled_per_batch(preset(problem), x, op, 0.02, window, 3,
+                                                batches=batches)
+        np.testing.assert_array_equal(res.grid_values, values)
+        np.testing.assert_array_equal(res.grid_stderr, stderr)
+        assert res.window == window // batches * batches
+
+    def test_one_run_one_stream(self, monkeypatch):
+        # whatever the batch count, one run_micro call reads one Philox stream
+        calls = {"run_micro": 0, "NoiseStreams": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(averaging_mod, "run_micro", counted("run_micro", run_micro))
+        monkeypatch.setattr(micro_mod, "NoiseStreams",
+                            counted("NoiseStreams", micro_mod.NoiseStreams))
+        fbar_sampled(preset("p2"), np.zeros(5), laplacian_spec(5), 0.01, 640,
+                     NoiseStreamKey(31, replica=1))
+        assert calls == {"run_micro": 1, "NoiseStreams": 1}
+
+    @pytest.mark.parametrize("window, batches, message", [
+        (10, 32, "^window 10 is shorter than batches=32$"),
+        (100, 1, "^batches must be >= 2, got 1$"),
+    ])
+    def test_short_window_or_one_batch_rejected(self, window, batches, message):
+        with pytest.raises(ValueError, match=message):
+            fbar_sampled(preset("p2"), np.zeros(4), laplacian_spec(4), 0.01, window,
+                         NoiseStreamKey(0, replica=1), batches=batches)
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError):

@@ -244,6 +244,21 @@ REJECTED = [
     pytest.param(["fbar", "--problem", "p2", "--K", "7", "--tau", "0", "--window", "200"],
                  "hmm-spde fbar: tau must be positive and finite, got 0.0$",
                  id="fbar-tau-zero"),
+    # p1 and p3 take the quadrature oracle, which never reads --tau or
+    # --window: both were ignored; --window 10 was rejected as "need 2 <=
+    # batches <= window", and batches is no flag
+    pytest.param(["fbar", "--problem", "p1", "--K", "7", "--tau", "-1", "--window", "0"],
+                 "hmm-spde fbar: tau must be positive and finite, got -1.0$",
+                 id="fbar-p1-tau-negative"),
+    pytest.param(["fbar", "--problem", "p1", "--K", "7", "--window", "0"],
+                 "hmm-spde fbar: window 0 is shorter than batches=32$",
+                 id="fbar-p1-window-zero"),
+    pytest.param(["fbar", "--problem", "p3", "--K", "7", "--tau", "1e308"],
+                 r"hmm-spde fbar: step 1e\+308 times the largest eigenvalue 483\.611 "
+                 r"is not finite$", id="fbar-p3-tau-huge"),
+    pytest.param(["fbar", "--problem", "p2", "--K", "7", "--window", "10"],
+                 "hmm-spde fbar: window 10 is shorter than batches=32$",
+                 id="fbar-p2-window-short"),
 ]
 
 

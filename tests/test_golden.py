@@ -131,8 +131,7 @@ def _run_micro(problem="p2", steps=40, warmup=5):
     saved, micro_mod._CHUNK_STEPS = micro_mod._CHUNK_STEPS, 16
     try:
         res = run_micro(np.zeros(K), default_x0(K), steps, NoiseStreamKey(29, replica=1),
-                        preset(problem), op, 0.05, warmup=warmup,
-                        track_mode_moments=True)
+                        preset(problem), op, 0.05, warmup=warmup)
     finally:
         micro_mod._CHUNK_STEPS = saved
     return _digest(res.y, res.f_window_mean, res.mode_mean,

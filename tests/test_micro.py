@@ -253,7 +253,7 @@ class TestStationaryVariance:
         n = 200_000
         res = run_micro(
             np.zeros(K), np.zeros(K), n, NoiseStreamKey(21, replica=1), P1, op, tau,
-            warmup=2000, track_mode_moments=True,
+            warmup=2000,
         )
         v_emp = res.mode_second_moment[0] - res.mode_mean[0] ** 2
         v = discrete_stationary_variances(tau, op)[0]
@@ -301,23 +301,62 @@ class TestRunMicro:
 
     @settings(max_examples=25, deadline=None)
     @given(chunk=st.integers(1, 9), steps=st.integers(0, 30), warmup=st.integers(1, 12),
-           K=st.sampled_from([1, 5]))
-    def test_any_chunk_split(self, chunk, steps, warmup, K):
-        # g != 0 and mode moments: every output equals the unchunked run
+           K=st.sampled_from([1, 5]), batches=st.integers(1, 4))
+    def test_any_chunk_split(self, chunk, steps, warmup, K, batches):
+        # g != 0: every output, batch means and mode moments included,
+        # equals the unchunked run; a window batches does not divide raises
         op = laplacian_spec(K)
         key = NoiseStreamKey(2**40 + 3, replica=4, step=2**64 + 2)
         args = (np.full(K, 0.3), np.linspace(-1, 1, K), steps, key, preset("p2"), op, 0.05)
-        kw = dict(warmup=warmup, track_mode_moments=True)
+        kw = dict(warmup=warmup, batches=batches)
+        if max(0, steps - warmup + 1) % batches:
+            with pytest.raises(ValueError, match=f"does not split into {batches} batches"):
+                run_micro(*args, **kw)
+            return
         full = run_micro(*args, **kw)
         with mock.patch.object(micro_mod, "_CHUNK_STEPS", chunk):
             chunked = run_micro(*args, **kw)
         np.testing.assert_array_equal(full.y, chunked.y)
         assert full.window_size == chunked.window_size
-        for name in ("f_window_mean", "mode_mean", "mode_second_moment"):
+        for name in ("f_window_mean", "f_batch_means", "mode_mean", "mode_second_moment"):
             a, b = getattr(full, name), getattr(chunked, name)
             assert (a is None) == (b is None)
             if a is not None:
                 np.testing.assert_array_equal(a, b)
+
+    def test_batch_means_are_runs_of_their_steps(self):
+        # each batch mean equals a run of that batch's steps alone, started
+        # from the state before it and keyed at its first step; the state,
+        # mode moments and (to rounding) the window mean do not depend on
+        # the batch count
+        K, warmup, per_batch = 5, 4, 9
+        op = laplacian_spec(K)
+        x = np.linspace(-1, 1, K)
+        key = NoiseStreamKey(8, replica=2, step=11)
+        args = (x, warmup - 1 + 3 * per_batch, key, preset("p2"), op, 0.05)
+        one = run_micro(np.zeros(K), *args, warmup=warmup)
+        three = run_micro(np.zeros(K), *args, warmup=warmup, batches=3)
+        assert three.f_batch_means.shape == (3, K)
+        np.testing.assert_array_equal(one.f_batch_means, one.f_window_mean[None])
+        for name in ("y", "mode_mean", "mode_second_moment"):
+            np.testing.assert_array_equal(getattr(one, name), getattr(three, name))
+        np.testing.assert_allclose(three.f_window_mean, one.f_window_mean, rtol=1e-12)
+        y = run_micro(np.zeros(K), x, warmup - 1, key, preset("p2"), op, 0.05).y
+        for b in range(3):
+            step = key.step + warmup - 1 + b * per_batch
+            res = run_micro(y, x, per_batch, NoiseStreamKey(8, replica=2, step=step),
+                            preset("p2"), op, 0.05)
+            np.testing.assert_array_equal(three.f_batch_means[b], res.f_window_mean)
+            y = res.y
+
+    @pytest.mark.parametrize("steps, warmup, batches", [(10, 1, 3), (10, 4, 2), (5, 1, 0)])
+    def test_window_not_split_by_batches_rejected(self, steps, warmup, batches):
+        K = 3
+        count = steps - warmup + 1
+        with pytest.raises(ValueError, match=f"^a window of {count} steps does not split "
+                                             f"into {batches} batches$"):
+            run_micro(np.zeros(K), np.zeros(K), steps, NoiseStreamKey(0, replica=1), P1,
+                      laplacian_spec(K), 0.1, warmup=warmup, batches=batches)
 
     def test_y_independent_f(self, monkeypatch):
         # an f that returns one (K,) row for a whole block of states is

@@ -23,7 +23,8 @@ class TestDeterminism:
         key = NoiseStreamKey(11, replica=1)
         block = draw_increments(NoiseStreams([key], 63), 0.5, 20)[:, 0]
         for m in range(20):
-            single = standard_normals(key.advanced(m), 63) * np.sqrt(0.5)
+            single = standard_normals(NoiseStreamKey(11, replica=1, step=key.step + m), 63)
+            single *= np.sqrt(0.5)
             np.testing.assert_array_equal(block[m], single)
 
     def test_golden_values_frozen(self):
@@ -116,7 +117,6 @@ class TestKeyStructure:
         # exactly the next macro block's first draw
         m0 = 17
         k_next_macro = NoiseStreamKey(5, replica=3, step=m0)
-        assert NoiseStreamKey(5, replica=3).advanced(m0) == k_next_macro
         across = standard_normals(
             NoiseStreamKey(5, replica=3), 8, count=m0 + 1
         )
