@@ -36,6 +36,7 @@ from .spectral import (
     to_grid,
     to_spectral,
 )
+from .spectral import _check_positive, _whole_steps
 
 __all__ = [
     "InvariantMeasureSpec",
@@ -125,8 +126,7 @@ class FbarSampled:
 
 def _check_sampling(op_b: OperatorSpec, tau: float, window: int, batches: int) -> None:
     """Raise ValueError naming the tau, batches or window fbar_sampled cannot run."""
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_positive("tau", tau)
     op_b.euler_denominator(tau)
     if batches < 2:
         raise ValueError(f"batches must be >= 2, got {batches}")
@@ -179,8 +179,7 @@ def run_averaged(
     Each step is xbar' = R_dt (xbar + dt * fbar(xbar)), written straight
     into its row of the trajectory.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _check_positive("dt", dt)
     if op_a.mode_count != x0.shape[-1]:
         raise ValueError("operator mode counts must match the fields")
     traj = np.empty((n_steps + 1, x0.shape[-1]))
@@ -212,16 +211,9 @@ def reference_solution(
     (2, K) stack: one update steps both rows, a second the finer row's other
     half step; each row equals :func:`run_averaged` at its step bit for bit.
     """
-    for name, value in (("T", T), ("fine_dt", fine_dt)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    n = _whole_steps(T, fine_dt, ("T", "fine_dt"))
     if op_a.mode_count != x0.shape[-1]:
         raise ValueError("operator mode counts must match the fields")
-    if not T / fine_dt < np.inf:
-        raise ValueError(f"step count T/fine_dt = {T}/{fine_dt} is not finite")
-    n = round(T / fine_dt)
-    if abs(n * fine_dt - T) > 1e-9 * T:
-        raise ValueError("fine_dt must divide T")
     half = fine_dt / 2.0
     steps = np.array([[fine_dt], [half]])  # per row of the stack
     xs = np.array([x0, x0], dtype=float)

@@ -43,7 +43,7 @@ from .experiments import (
 )
 from .hmm import HmmParams, choose_params, cost_compare, run_hmm
 from .noise import NoiseStreamKey
-from .spectral import grid_points, laplacian_spec, to_grid
+from .spectral import _whole_steps, grid_points, laplacian_spec, to_grid
 
 # rates --experiment name -> its call on the parsed arguments
 EXPERIMENTS = {
@@ -93,34 +93,23 @@ def _write_rate_report(report: RateReport, out_dir: Path) -> None:
           f"[{report.ci_low:.4f}, {report.ci_high:.4f}])")
 
 
-def _check_horizon(T: float, dt: float) -> None:
-    """Reject a --T that --dt does not divide (relative tolerance 1e-9).
-
-    The solvers do not end at such a T: ``run_hmm`` takes floor(T/dt) macro
-    steps and ``run_direct`` ceil(T/dt) steps, so the last CSV row would sit
-    short of or past the T written to the cost file.  The solvers reject a
-    T, dt or T/dt that is not positive and finite by name.
-    """
-    if dt > 0 and T > 0 and T / dt < math.inf and abs(round(T / dt) * dt - T) > 1e-9 * T:
-        raise SystemExit(f"--T {T} is not a whole number of --dt {dt} steps")
-
-
-def _hmm_params_from_args(args) -> HmmParams:
+def _hmm_params_from_args(args, coeffs, op) -> HmmParams:
     explicit = args.dt is not None or args.ddt is not None
     if explicit:
         missing = [n for n in ("dt", "ddt") if getattr(args, n) is None]
         if missing:
             raise SystemExit(f"explicit parameter mode needs --dt and --ddt (missing {missing})")
-        _check_horizon(args.T, args.dt)
-        return HmmParams(
+        params = HmmParams(
             epsilon=args.epsilon, macro_dt=args.dt, micro_dt=args.ddt, T=args.T,
             N=args.N, M=args.M, n_T=args.nT,
         )
+        # after HmmParams, whose checks name a bad --T or --dt first
+        _whole_steps(args.T, args.dt, ("--T", "--dt"))
+        return params
     if args.tol is None:
         raise SystemExit("give either --tol (parameter selection) or explicit --dt/--ddt")
-    params = choose_params(
-        args.tol, args.epsilon, args.regime, r=args.r, kappa=args.kappa, T=args.T
-    )
+    params = choose_params(args.tol, args.epsilon, args.regime, r=args.r, kappa=args.kappa,
+                           T=args.T, coeffs=coeffs, op_b=op)
     # run_hmm takes floor(T/dt) macro steps; shrink dt so that they end at T
     # (a smaller dt only tightens the error)
     n_0 = math.ceil(params.T / params.macro_dt - 1e-12)
@@ -129,9 +118,9 @@ def _hmm_params_from_args(args) -> HmmParams:
 
 def _cmd_hmm_run(args) -> None:
     K = args.K
-    params = _hmm_params_from_args(args)
     op = laplacian_spec(K)
     coeffs = preset(args.problem)
+    params = _hmm_params_from_args(args, coeffs, op)
     x0 = default_x0(K)
     run = run_hmm(x0, np.zeros(K), coeffs, op, op, params, args.seed)
     out_dir = Path(args.out_dir)
@@ -152,13 +141,13 @@ def _cmd_hmm_run(args) -> None:
 
 
 def _cmd_direct_run(args) -> None:
-    _check_horizon(args.T, args.dt)
     K = args.K
     op = laplacian_spec(K)
     coeffs = preset(args.problem)
     x0 = default_x0(K)
     run = run_direct(x0, np.zeros(K), coeffs, op, op, args.epsilon, args.dt,
                      args.T, args.seed)
+    _whole_steps(args.T, args.dt, ("--T", "--dt"))  # after run_direct's own checks
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out_dir / "direct_trajectory.csv", run.trajectory_X, args.dt)

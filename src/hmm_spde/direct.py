@@ -33,7 +33,6 @@ step counts; ``trajectory=False`` skips it), the final fields (S, K), and
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -42,8 +41,9 @@ import numpy as np
 
 from .coefficients import CoefficientSpec
 from .micro import _CHUNK_STEPS, _check_finite, step_replicas
-from .noise import NoiseStreamKey, NoiseStreams, draw_increments
+from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
+from .spectral import _check_positive, _check_step_count
 
 __all__ = ["DirectRun", "run_direct", "DIRECT_STREAM_TAG"]
 
@@ -77,8 +77,7 @@ def _rows(name: str, value, S: int, single: bool) -> tuple:
         raise ValueError(f"{name} needs one value per seed, got {len(values)} "
                          f"for {'an int seed' if single else f'{S} seeds'}")
     for r, v in enumerate(values):
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v} in row {r}")
+        _check_positive(name, v, f" in row {r}")
     return values
 
 
@@ -110,17 +109,11 @@ def run_direct(
     epsilon, dt, T or step count T/dt raises ValueError naming it (and the
     row); a non-finite state raises one naming the seeds and the steps.
     """
-    single = isinstance(seed, numbers.Integral)
-    seeds = (seed,) if single else tuple(seed)
-    if not seeds:
-        raise ValueError("seed sequence is empty")
-    S = len(seeds)
-    eps_r = _rows("epsilon", epsilon, S, single)
-    dt_r = _rows("dt", dt, S, single)
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if not T / min(dt_r) < math.inf:
-        raise ValueError(f"step count T/dt = {T}/{min(dt_r)} is not finite")
+    axis = _SeedAxis(seed)
+    S = len(axis.seeds)
+    eps_r = _rows("epsilon", epsilon, S, axis.single)
+    dt_r = _rows("dt", dt, S, axis.single)
+    _check_step_count(T, min(dt_r))
     K = x0.shape[-1]
     if op_a.mode_count != K or op_b.mode_count != K:
         raise ValueError("operator mode counts must match the fields")
@@ -130,7 +123,7 @@ def run_direct(
     # rows by decreasing step count: the live rows are always a prefix
     order = sorted(range(S), key=lambda r: -steps_r[r])
     seeds_s, eps_s, dt_s, steps = ([v[r] for r in order]
-                                   for v in (seeds, eps_r, dt_r, steps_r))
+                                   for v in (axis.seeds, eps_r, dt_r, steps_r))
     dt_col = np.array(dt_s)[:, None]
     tau = dt_col / np.array(eps_s)[:, None]
     if tau.max() > 0.5:
@@ -184,10 +177,6 @@ def run_direct(
     # back to the caller's row order; np.argsort would page in numpy's sort
     # code, about 0.35 MiB of peak RSS
     back = sorted(range(S), key=order.__getitem__)
-    X, Y = X[back], Y[back]
-    if single:  # drop the seed axis
-        traj = None if traj is None else traj[:, 0]
-        X, Y = X[0], Y[0]
-    return DirectRun(trajectory_X=traj, final_X=X, final_Y=Y,
-                     cost=sum(steps), dt=dt if np.ndim(dt) == 0 else dt_r,
-                     seed=seed if single else seeds)
+    return DirectRun(trajectory_X=axis.drop(traj, 1), final_X=axis.drop(X[back]),
+                     final_Y=axis.drop(Y[back]), cost=sum(steps),
+                     dt=dt if np.ndim(dt) == 0 else dt_r, seed=axis.drop(axis.seeds))

@@ -38,6 +38,7 @@ from .spectral import (
     to_grid,
     to_spectral,
 )
+from .spectral import _whole_steps
 
 __all__ = [
     "TestFunctional",
@@ -281,9 +282,8 @@ def macro_order_experiment(
         raise ValueError(f"fine_factor must be >= 1, got {fine_factor}")
     if dt_list is None:
         dt_list = [T / 8, T / 16, T / 32, T / 64, T / 128]
-    for dt in dt_list:
-        if dt <= 0 or abs(round(T / dt) * dt - T) > 1e-9 * T:
-            raise ValueError(f"dt={dt} must be positive and divide T={T}")
+    dts = np.asarray(sorted(dt_list, reverse=True), float)
+    steps = [_whole_steps(T, dt) for dt in dts]
     op, coeffs, fbar, default = _setup(problem, K)
     if coeffs.has_g:
         raise ValueError("macro-order experiment needs the Gaussian oracle (g = 0)")
@@ -292,10 +292,8 @@ def macro_order_experiment(
 
     fine_dt = min(dt_list) / fine_factor
     ref = reference_solution(x0, fbar, op, T, fine_dt)
-    dts = np.asarray(sorted(dt_list, reverse=True), float)
     errs = []
-    for dt in dts:
-        n = int(round(T / dt))
+    for dt, n in zip(dts, steps):
         xbar = run_averaged(x0, fbar, op, dt, n)[-1]
         errs.append(np.linalg.norm(xbar - ref.field))
     errs = np.array(errs)

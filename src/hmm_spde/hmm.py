@@ -39,7 +39,6 @@ delta t = epsilon * tau' and its cost grows like 1/epsilon.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -52,8 +51,9 @@ from .coefficients import (
     check_weak_dissipativity,
 )
 from .micro import _CHUNK_STEPS, contraction_factor, step_replicas
-from .noise import NoiseStreamKey, NoiseStreams, draw_increments
+from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
+from .spectral import _check_positive, _check_step_count
 
 __all__ = [
     "HmmParams",
@@ -72,7 +72,7 @@ _TAU_MAX = 1.0
 class HmmParams:
     """Scheme parameters; tau, n_0 and m_0 are derived.
 
-    epsilon, macro_dt, micro_dt and T must be positive and finite (a
+    epsilon, micro_dt, T and macro_dt must be positive and finite (a
     ValueError names the first that is not), as must T / macro_dt, and the
     effective micro step tau = micro_dt / epsilon must not exceed 1.
     n_T >= 1 is enforced: the averaging window must not include the carried
@@ -90,12 +90,9 @@ class HmmParams:
     n_T: int = 1
 
     def __post_init__(self):
-        for name in ("epsilon", "macro_dt", "micro_dt", "T"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not self.T / self.macro_dt < math.inf:
-            raise ValueError(f"step count T/macro_dt = {self.T}/{self.macro_dt} is not finite")
+        for name in ("epsilon", "micro_dt"):
+            _check_positive(name, getattr(self, name))
+        _check_step_count(self.T, self.macro_dt, ("T", "macro_dt"))
         if self.N < 1 or self.M < 1:
             raise ValueError("N and M must be >= 1")
         if self.n_T < 1:
@@ -251,16 +248,14 @@ def run_hmm(
             f"macro step {params.macro_dt} exceeds the horizon T={params.T}; "
             "no steps to take"
         )
-    single = isinstance(seed, numbers.Integral)
-    seeds = (seed,) if single else tuple(seed)
-    if not seeds:
-        raise ValueError("seed sequence is empty")
+    axis = _SeedAxis(seed)
+    seeds = axis.seeds
     K = x0.shape[-1]
     if op_a.mode_count != K or op_b.mode_count != K:
         raise ValueError("operator mode counts must match the fields")
     S, M = len(seeds), params.M
     y0 = np.asarray(y0, dtype=float)
-    shapes = [(K,), (M, K)] if single else [(K,), (M, K), (S, M, K)]
+    shapes = [(K,), (M, K)] if axis.single else [(K,), (M, K), (S, M, K)]
     if y0.shape not in shapes:
         raise ValueError(f"y0 must have one of the shapes {shapes}, got {y0.shape}")
     Y = np.empty((S, M, K))
@@ -285,14 +280,12 @@ def run_hmm(
         replicas=M,
         micro_steps_per_macro=params.m_0,
     )
-    if single:  # drop the seed axis
-        traj, Y = traj[:, 0], Y[0]
     return HmmRun(
-        trajectory=traj,
+        trajectory=axis.drop(traj, 1),
         cost=cost,
-        final_micro_states=Y,
+        final_micro_states=axis.drop(Y),
         params=params,
-        seed=seed if single else seeds,
+        seed=axis.drop(seeds),
     )
 
 
@@ -330,8 +323,7 @@ def choose_params(
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
+    _check_positive("T", T)
     if regime not in ("strong", "weak"):
         raise ValueError(f"regime must be 'strong' or 'weak', got {regime!r}")
     r_cap = 0.5 if regime == "strong" else 1.0

@@ -29,7 +29,7 @@ import numpy as np
 
 from .coefficients import CoefficientSpec
 from .noise import NoiseStreamKey, NoiseStreams, draw_increments
-from .spectral import OperatorSpec, grid_points, to_grid, to_spectral
+from .spectral import OperatorSpec, _check_positive, grid_points, to_grid, to_spectral
 
 __all__ = [
     "MicroRunResult",
@@ -86,8 +86,7 @@ def contraction_factor(tau: float, lipschitz_g: float, mu: float) -> float:
     Requires strict dissipativity L < mu; two chains driven by the same noise
     satisfy |y1' - y2'|^2 <= rho |y1 - y2|^2 pathwise.
     """
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_positive("tau", tau)
     if lipschitz_g < 0:
         raise ValueError("Lipschitz constant must be nonnegative")
     if lipschitz_g >= mu:
@@ -101,8 +100,7 @@ def discrete_stationary_variances(tau: float, op_b: OperatorSpec) -> np.ndarray:
     """Stationary variances 1/(2 mu_k + tau mu_k^2) of the g = 0 chain: the fixed
     points of v = a_k^2 (v + tau), a_k = 1/(1 + tau mu_k); they tend to the
     continuous chain's 1/(2 mu_k) as tau -> 0."""
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_positive("tau", tau)
     mu = op_b.eigenvalues
     return 1.0 / (2.0 * mu + tau * mu**2)
 
@@ -142,8 +140,7 @@ def run_micro(
     is not positive and finite, or a non-finite state (named by the key's
     seed and the steps of its noise chunk) raises ValueError.
     """
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_positive("tau", tau)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if warmup < 1:

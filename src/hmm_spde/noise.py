@@ -32,6 +32,7 @@ are dropped from the end with :meth:`NoiseStreams.keep`.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import KW_ONLY, dataclass
 
@@ -171,6 +172,23 @@ def draw_increments(
     z = streams.standard_normals(count, out)
     np.multiply(z, scale, out=z)
     return z
+
+
+class _SeedAxis:
+    """``seed``, an int or a non-empty sequence of ints, as the tuple of its S
+    ``seeds``; an int is ``single``, and :meth:`drop` drops the axis again."""
+
+    def __init__(self, seed: int | Sequence[int]):
+        self.single = isinstance(seed, numbers.Integral)
+        self.seeds = (seed,) if self.single else tuple(seed)
+        if not self.seeds:
+            raise ValueError("seed sequence is empty")
+
+    def drop(self, a, axis: int = 0):
+        """Row 0 of ``a`` on its seed axis (0 or 1) when single, else ``a``."""
+        if not self.single or a is None:
+            return a
+        return a[:, 0] if axis else a[0]
 
 
 def mix_seed(master_seed: int, *indices: int) -> int:

@@ -79,7 +79,7 @@ class OperatorSpec:
         row for one step, (S, K) rows for an (S, 1) column of per-row steps.
         A step that is negative, not finite, or whose product with the
         largest eigenvalue is not finite raises ValueError naming it."""
-        key = (np.shape(step), np.asarray(step, float).tobytes()) if np.ndim(step) else step
+        key = (np.shape(step), np.asarray(step, float).tobytes()) if np.ndim(step) else float(step)
         den = self._denominators.get(key)
         if den is None:
             _check_step(step, "step")
@@ -119,6 +119,30 @@ def _check_step(step: float | np.ndarray, name: str) -> None:
     for s in np.ravel(step):  # every row of a column of steps
         if not 0 <= s < np.inf:
             raise ValueError(f"{name} must be nonnegative and finite, got {s}")
+
+
+def _check_positive(name: str, value: float, where: str = "") -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}{where}")
+
+
+def _check_step_count(T: float, dt: float, names: tuple[str, str] = ("T", "dt")) -> None:
+    """Raise ValueError naming ``names``, the caller's names of T and dt,
+    unless T, dt and the step count T / dt are positive and finite."""
+    for name, value in zip(names, (T, dt)):
+        _check_positive(name, value)
+    if not float(T) / float(dt) < np.inf:  # Python floats: no overflow warning
+        raise ValueError(f"step count {names[0]}/{names[1]} = {T}/{dt} is not finite")
+
+
+def _whole_steps(T: float, dt: float, names: tuple[str, str] = ("T", "dt")) -> int:
+    """n with n * dt = T (relative 1e-9); raises ValueError as
+    :func:`_check_step_count` does, or naming both when dt does not divide T."""
+    _check_step_count(T, dt, names)
+    n = round(T / dt)
+    if abs(n * dt - T) > 1e-9 * T:
+        raise ValueError(f"{names[0]} {T} is not a whole number of {names[1]} {dt} steps")
+    return n
 
 
 def apply_resolvent(coeffs: np.ndarray, step: float, op: OperatorSpec) -> np.ndarray:

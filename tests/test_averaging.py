@@ -324,7 +324,7 @@ class TestAveragedScheme:
 
     def test_nonpositive_dt_rejected(self):
         op = laplacian_spec(2)
-        for dt in (0.0, np.nan, np.inf):  # before: nan returned nan silently
+        for dt in (0.0, -1.0, np.nan, np.inf):  # before: nan returned nan silently
             with pytest.raises(ValueError, match="dt"):
                 run_averaged(np.ones(2), lambda x: np.zeros(2), op, dt, 1)
 
@@ -402,13 +402,18 @@ class TestReferenceSolution:
 
     def test_bad_fine_dt_rejected(self):
         op = laplacian_spec(3)
-        with pytest.raises(ValueError, match="fine_dt must divide T"):
+        with pytest.raises(ValueError,
+                           match=r"^T 0\.5 is not a whole number of fine_dt 0\.3 steps$"):
             reference_solution(np.zeros(3), lambda x: np.zeros(3), op, 0.5, 0.3)
+        with pytest.raises(ValueError,
+                           match=r"^step count T/fine_dt = 1e\+308/1e-10 is not finite$"):
+            reference_solution(np.zeros(3), lambda x: np.zeros(3), op, 1e308, 1e-10)
         # before: fine_dt=inf returned x0 after zero steps, T=inf raised
         # OverflowError and a NaN "cannot convert float NaN to integer"
         for T, fine_dt, name in [(0.5, np.inf, "fine_dt"), (0.5, np.nan, "fine_dt"),
                                  (np.inf, 0.1, "T"), (np.nan, 0.1, "T"),
-                                 (0.5, -0.1, "fine_dt"), (0.0, 0.1, "T")]:
+                                 (0.5, -0.1, "fine_dt"), (0.0, 0.1, "T"),
+                                 (0.5, 0.0, "fine_dt"), (-1.0, 0.1, "T")]:
             with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
                 reference_solution(np.zeros(3), lambda x: np.zeros(3), op, T, fine_dt)
 

@@ -5,7 +5,10 @@ import pytest
 
 import hmm_spde.cli as cli_mod
 from hmm_spde.cli import main
+from hmm_spde.coefficients import preset
 from hmm_spde.experiments import AveragingReport, RateReport, SweepRow
+from hmm_spde.hmm import choose_params
+from hmm_spde.spectral import laplacian_spec
 
 
 def read_csv(path):
@@ -50,6 +53,16 @@ class TestHmmRun:
         assert cost["T"] == 1.0
         assert cost["macro_dt"] == 0.25
         assert [float(r[1]) for r in rows[1:]] == [n * 0.25 for n in range(5)]
+
+    @pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+    def test_tolerance_mode_uses_the_problems_rate(self, tmp_path, problem):
+        # before: choose_params never saw the problem, so c_hat was 1 and n_T 14
+        main(["hmm", "run", "--problem", problem, "--K", "63", "--T", "1.0",
+              "--tol", "0.3", "--epsilon", "1e-3", "--out-dir", str(tmp_path)])
+        cost = json.loads((tmp_path / "hmm_cost.json").read_text())
+        want = choose_params(0.3, 1e-3, "weak", T=1.0, coeffs=preset(problem),
+                             op_b=laplacian_spec(63))
+        assert cost["n_T"] == want.n_T
 
     def test_seed_reproducibility(self, tmp_path):
         args = [
@@ -199,7 +212,7 @@ class TestRatesTable:
 # ValueErrors ended in a traceback
 REJECTED = [
     pytest.param(["hmm", "run", "--dt", "0.15", "--ddt", "1e-6", "--T", "1.0"],
-                 r"--T 1\.0 is not a whole number of --dt 0\.15 steps",
+                 r"hmm-spde hmm run: --T 1\.0 is not a whole number of --dt 0\.15 steps$",
                  id="hmm-horizon"),
     pytest.param(["hmm", "run", "--epsilon", "-1", "--dt", "0.1", "--ddt", "1e-6"],
                  "hmm-spde hmm run: epsilon must be positive and finite",
@@ -244,6 +257,12 @@ REJECTED = [
     pytest.param(["fbar", "--problem", "p2", "--K", "7", "--tau", "0", "--window", "200"],
                  "hmm-spde fbar: tau must be positive and finite, got 0.0$",
                  id="fbar-tau-zero"),
+    pytest.param(["fbar", "--problem", "p2", "--K", "7", "--tau", "nan", "--window", "200"],
+                 "hmm-spde fbar: tau must be positive and finite, got nan$",
+                 id="fbar-tau-nan"),
+    pytest.param(["fbar", "--problem", "p2", "--K", "7", "--tau", "inf", "--window", "200"],
+                 "hmm-spde fbar: tau must be positive and finite, got inf$",
+                 id="fbar-tau-inf"),
     # p1 and p3 take the quadrature oracle, which never reads --tau or
     # --window: both were ignored; --window 10 was rejected as "need 2 <=
     # batches <= window", and batches is no flag

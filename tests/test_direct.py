@@ -86,6 +86,7 @@ class TestRunDirect:
     @pytest.mark.parametrize("name, value, row", [
         ("epsilon", np.inf, 0), ("epsilon", [0.1, np.nan], 1), ("epsilon", [0.1, 0.0], 1),
         ("dt", np.inf, 0), ("dt", [0.01, -0.01], 1), ("dt", [np.inf, 0.01], 0),
+        ("epsilon", -1.0, 0), ("dt", 0.0, 0), ("dt", [0.01, np.nan], 1),
     ])
     def test_bad_epsilon_or_dt_rejected_per_row(self, name, value, row):
         K = 3

@@ -246,8 +246,12 @@ class TestMacroOrder:
 
     def test_dt_that_does_not_divide_T_rejected(self):
         # round(0.25 / 0.1) = 2 steps would end at 0.2, short of the reference's T
-        with pytest.raises(ValueError, match=r"dt=0\.1 .*T=0\.25"):
+        with pytest.raises(ValueError,
+                           match=r"^T 0\.25 is not a whole number of dt 0\.1 steps$"):
             macro_order_experiment(K=7, T=0.25, dt_list=[0.125, 0.1], fine_factor=4)
+        for dt in (0.0, -1.0, np.nan, np.inf):  # before: nan "cannot convert float NaN"
+            with pytest.raises(ValueError, match="^dt must be positive and finite, got"):
+                macro_order_experiment(K=7, T=0.25, dt_list=[0.125, dt], fine_factor=4)
 
 
 class TestWarmupBias:

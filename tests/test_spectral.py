@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hmm_spde.coefficients import preset
+from hmm_spde.micro import run_micro
+from hmm_spde.noise import NoiseStreamKey
 from hmm_spde.spectral import (
     OperatorSpec,
     apply_resolvent,
@@ -306,6 +309,19 @@ class TestArgumentsAndDenominators:
         assert a.euler_denominator(0.1) is not c.euler_denominator(0.1)
         assert not np.array_equal(a.euler_denominator(0.1), a.euler_denominator(0.2))
         assert not np.array_equal(a.euler_denominator(0.1), b.euler_denominator(0.1))
+
+    def test_zero_d_step_equals_float_step(self):
+        # before: a 0-d array step was its own cache key, "unhashable type"
+        K, step = 7, 0.05
+        x, f = np.linspace(-1.0, 1.0, K), np.full(K, 0.5)
+        key = NoiseStreamKey(3, replica=1)
+        for fn in (lambda s, op: apply_resolvent(x, s, op),
+                   lambda s, op: implicit_euler_step(x, f, s, op),
+                   lambda s, op: run_micro(np.zeros(K), x, 20, key, preset("p2"), op, s).y):
+            op = laplacian_spec(K)
+            fresh = fn(np.array(step), op)  # the 0-d step fills the cache
+            np.testing.assert_array_equal(fresh, fn(step, laplacian_spec(K)))
+            np.testing.assert_array_equal(fresh, fn(step, op))
 
     def test_many_step_sizes_stay_exact(self):
         op = laplacian_spec(4)
