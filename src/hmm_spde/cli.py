@@ -20,7 +20,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -99,21 +98,14 @@ def _hmm_params_from_args(args, coeffs, op) -> HmmParams:
         missing = [n for n in ("dt", "ddt") if getattr(args, n) is None]
         if missing:
             raise SystemExit(f"explicit parameter mode needs --dt and --ddt (missing {missing})")
-        params = HmmParams(
+        return HmmParams(
             epsilon=args.epsilon, macro_dt=args.dt, micro_dt=args.ddt, T=args.T,
             N=args.N, M=args.M, n_T=args.nT,
         )
-        # after HmmParams, whose checks name a bad --T or --dt first
-        _whole_steps(args.T, args.dt, ("--T", "--dt"))
-        return params
     if args.tol is None:
         raise SystemExit("give either --tol (parameter selection) or explicit --dt/--ddt")
-    params = choose_params(args.tol, args.epsilon, args.regime, r=args.r, kappa=args.kappa,
-                           T=args.T, coeffs=coeffs, op_b=op)
-    # run_hmm takes floor(T/dt) macro steps; shrink dt so that they end at T
-    # (a smaller dt only tightens the error)
-    n_0 = math.ceil(params.T / params.macro_dt - 1e-12)
-    return dataclasses.replace(params, macro_dt=params.T / n_0)
+    return choose_params(args.tol, args.epsilon, args.regime, r=args.r, kappa=args.kappa,
+                         T=args.T, coeffs=coeffs, op_b=op)
 
 
 def _cmd_hmm_run(args) -> None:
@@ -145,9 +137,9 @@ def _cmd_direct_run(args) -> None:
     op = laplacian_spec(K)
     coeffs = preset(args.problem)
     x0 = default_x0(K)
+    _whole_steps(args.T, args.dt)  # run_direct itself ends at ceil(T/dt) steps
     run = run_direct(x0, np.zeros(K), coeffs, op, op, args.epsilon, args.dt,
                      args.T, args.seed)
-    _whole_steps(args.T, args.dt, ("--T", "--dt"))  # after run_direct's own checks
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out_dir / "direct_trajectory.csv", run.trajectory_X, args.dt)

@@ -53,7 +53,7 @@ from .coefficients import (
 from .micro import _CHUNK_STEPS, contraction_factor, step_replicas
 from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
-from .spectral import _check_positive, _check_step_count
+from .spectral import _check_positive, _whole_steps
 
 __all__ = [
     "HmmParams",
@@ -73,12 +73,11 @@ class HmmParams:
     """Scheme parameters; tau, n_0 and m_0 are derived.
 
     epsilon, micro_dt, T and macro_dt must be positive and finite (a
-    ValueError names the first that is not), as must T / macro_dt, and the
-    effective micro step tau = micro_dt / epsilon must not exceed 1.
+    ValueError names the first that is not), T must be a whole number n_0
+    of macro steps (relative 1e-9), so a run ends at T, and the effective
+    micro step tau = micro_dt / epsilon must not exceed 1.
     n_T >= 1 is enforced: the averaging window must not include the carried
     state before any step of the current macro block has been taken.
-    n_0 = floor(T / macro_dt) whole macro steps, so a run ends at
-    n_0 * macro_dt, short of T when macro_dt does not divide it.
     """
 
     epsilon: float
@@ -92,7 +91,7 @@ class HmmParams:
     def __post_init__(self):
         for name in ("epsilon", "micro_dt"):
             _check_positive(name, getattr(self, name))
-        _check_step_count(self.T, self.macro_dt, ("T", "macro_dt"))
+        _whole_steps(self.T, self.macro_dt, ("T", "macro_dt"))
         if self.N < 1 or self.M < 1:
             raise ValueError("N and M must be >= 1")
         if self.n_T < 1:
@@ -106,7 +105,7 @@ class HmmParams:
 
     @property
     def n_0(self) -> int:
-        return int(math.floor(self.T / self.macro_dt + 1e-12))
+        return round(self.T / self.macro_dt)
 
     @property
     def m_0(self) -> int:
@@ -232,7 +231,7 @@ def run_hmm(
     params: HmmParams,
     seed: int | Sequence[int],
 ) -> HmmRun:
-    """Full multiscale run from (x0, y0) to time n_0 * dt.
+    """Full multiscale run from (x0, y0) to time T = n_0 * dt.
 
     ``seed`` is an int or a sequence of S seeds; a sequence advances S
     copies from the same (K,) initial slow field ``x0`` in lock step, and
@@ -243,11 +242,6 @@ def run_hmm(
     raises ValueError naming the seeds, the macro step and the replicas.
     """
     _validate_dissipativity(coeffs, op_b)
-    if params.n_0 < 1:
-        raise ValueError(
-            f"macro step {params.macro_dt} exceeds the horizon T={params.T}; "
-            "no steps to take"
-        )
     axis = _SeedAxis(seed)
     seeds = axis.seeds
     K = x0.shape[-1]
@@ -319,11 +313,11 @@ def choose_params(
     ``c_hat`` is the exponential equilibration rate entering n_T; when it is
     not given and the coefficients satisfy strict dissipativity it is taken
     from the contraction factor, otherwise it defaults to 1 (a knob, since
-    the rate is not explicit under weak dissipativity alone).
+    the rate is not explicit under weak dissipativity alone).  The macro step
+    is T / n for the fewest n steps of at most tol^{1/(1-r)} that reach T.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    _check_positive("T", T)
     if regime not in ("strong", "weak"):
         raise ValueError(f"regime must be 'strong' or 'weak', got {regime!r}")
     r_cap = 0.5 if regime == "strong" else 1.0
@@ -334,7 +328,7 @@ def choose_params(
     if strong_branch not in ("M1", "N1"):
         raise ValueError("strong_branch must be 'M1' or 'N1'")
 
-    dt = min(tol ** (1.0 / (1.0 - r)), T)
+    dt = T / _whole_steps(T, min(tol ** (1.0 / (1.0 - r)), T), ("T", "macro_dt"), cover=True)
     tau = tol ** (1.0 / (0.5 - kappa))
     if c_hat is None:
         c_hat = 1.0
@@ -344,19 +338,22 @@ def choose_params(
                 rho = contraction_factor(tau, coeffs.lipschitz_g_y, op_b.smallest_eigenvalue)
                 c_hat = -math.log(rho) / (2.0 * tau)
 
-    if regime == "strong":
-        n_T = max(1, math.ceil(math.log(1.0 / tol) / (c_hat * tau)))
-        if strong_branch == "M1":
-            M = 1
-            N = max(1, math.ceil(tol ** (-2.0 + 1.0 / (1.0 - r) - 1.0 / (0.5 - kappa))))
+    try:
+        if regime == "strong":
+            n_T = max(1, math.ceil(math.log(1.0 / tol) / (c_hat * tau)))
+            if strong_branch == "M1":
+                M = 1
+                N = max(1, math.ceil(tol ** (-2.0 + 1.0 / (1.0 - r) - 1.0 / (0.5 - kappa))))
+            else:
+                N = 1
+                M = max(1, math.ceil(tol ** (1.0 / (1.0 - r) - 2.0)))
         else:
+            M = 1
             N = 1
-            M = max(1, math.ceil(tol ** (1.0 / (1.0 - r) - 2.0)))
-    else:
-        M = 1
-        N = 1
-        # warm-up long enough that exp(-c n_T tau) ~ dt
-        n_T = max(1, math.ceil(math.log(1.0 / dt) / (c_hat * tau)))
+            # warm-up long enough that exp(-c n_T tau) ~ dt
+            n_T = max(1, math.ceil(math.log(1.0 / dt) / (c_hat * tau)))
+    except ArithmeticError:  # tau underflows, or a count overflows a float
+        raise ValueError(f"tol {tol} is too small: tau={tau:.3g} gives no finite counts") from None
 
     return HmmParams(
         epsilon=epsilon,
@@ -383,6 +380,7 @@ def cost_compare(
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    _check_positive("epsilon", epsilon)
     if regime == "strong":
         q = 0.25 - kappa
     elif regime == "weak":

@@ -69,8 +69,13 @@ class NoiseStreamKey:
     stream_tag: int = 0
 
     def __post_init__(self):
-        if self.replica < 0 or self.replica >= 1 << 32:
-            raise ValueError(f"replica index out of range: {self.replica}")
+        # Philox takes the seed as one 64-bit word and the tag and replica as
+        # the two 32-bit halves of another; a value outside would alias
+        for name, value, bits in (("master_seed", self.master_seed, 64),
+                                  ("stream_tag", self.stream_tag, 32),
+                                  ("replica index", self.replica, 32)):
+            if not 0 <= value < 1 << bits:
+                raise ValueError(f"{name} out of range [0, 2**{bits}): {value}")
         if self.step < 0:
             raise ValueError(f"step must be nonnegative, got {self.step}")
 

@@ -135,13 +135,17 @@ def _check_step_count(T: float, dt: float, names: tuple[str, str] = ("T", "dt"))
         raise ValueError(f"step count {names[0]}/{names[1]} = {T}/{dt} is not finite")
 
 
-def _whole_steps(T: float, dt: float, names: tuple[str, str] = ("T", "dt")) -> int:
+def _whole_steps(T: float, dt: float, names: tuple[str, str] = ("T", "dt"),
+                 cover: bool = False) -> int:
     """n with n * dt = T (relative 1e-9); raises ValueError as
-    :func:`_check_step_count` does, or naming both when dt does not divide T."""
+    :func:`_check_step_count` does, or naming both when dt does not divide T.
+    With ``cover`` such a dt gives ceil(T / dt), the fewest steps that reach T."""
     _check_step_count(T, dt, names)
     n = round(T / dt)
     if abs(n * dt - T) > 1e-9 * T:
-        raise ValueError(f"{names[0]} {T} is not a whole number of {names[1]} {dt} steps")
+        if not cover:
+            raise ValueError(f"{names[0]} {T} is not a whole number of {names[1]} {dt} steps")
+        n = int(np.ceil(T / dt))
     return n
 
 

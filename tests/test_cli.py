@@ -42,7 +42,7 @@ class TestHmmRun:
         assert cost["macro_dt"] == pytest.approx(0.3)
 
     def test_tolerance_mode_ends_at_T(self, tmp_path):
-        # tol 0.3 picks dt 0.3; the run shrinks it to 0.25 so that it ends at T
+        # tol 0.3 asks for dt <= 0.3; choose_params delivers 0.25, which divides T
         main([
             "hmm", "run", "--problem", "p1", "--K", "4", "--T", "1.0",
             "--tol", "0.3", "--epsilon", "1e-3", "--out-dir", str(tmp_path),
@@ -82,7 +82,7 @@ class TestHmmRun:
     def test_horizon_not_divided_by_dt_rejected(self, tmp_path):
         args = ["hmm", "run", "--problem", "p1", "--K", "4", "--ddt", "5e-5",
                 "--epsilon", "1e-3", "--out-dir", str(tmp_path)]
-        with pytest.raises(SystemExit, match=r"--T 1\.0 .* --dt 0\.3 "):
+        with pytest.raises(SystemExit, match=r"T 1\.0 is not a whole number of macro_dt 0\.3 "):
             main(args + ["--dt", "0.3", "--T", "1.0"])
         assert not (tmp_path / "hmm_trajectory.csv").exists()
         main(args + ["--dt", "0.1", "--T", "0.3"])  # 0.3 / 0.1 is 3 up to rounding
@@ -104,12 +104,23 @@ class TestDirectRun:
     def test_horizon_not_divided_by_dt_rejected(self, tmp_path):
         args = ["direct", "run", "--problem", "p1", "--K", "4", "--epsilon", "0.5",
                 "--out-dir", str(tmp_path)]
-        with pytest.raises(SystemExit, match=r"--T 1\.0 .* --dt 0\.15 "):
+        with pytest.raises(SystemExit, match=r"T 1\.0 is not a whole number of dt 0\.15 "):
             main(args + ["--dt", "0.15", "--T", "1.0"])
         assert not (tmp_path / "direct_trajectory.csv").exists()
         main(args + ["--dt", "0.1", "--T", "0.7"])  # 0.7 / 0.1 is 7 up to rounding
         rows = read_csv(tmp_path / "direct_trajectory.csv")
         assert len(rows) == 9 and float(rows[-1][1]) == pytest.approx(0.7)
+
+    def test_rejected_horizon_never_runs(self, tmp_path, monkeypatch):
+        # before: the horizon was checked after the whole run
+        def run_direct(*args):
+            raise AssertionError("run_direct called for a rejected horizon")
+
+        monkeypatch.setattr(cli_mod, "run_direct", run_direct)
+        with pytest.raises(SystemExit, match="^hmm-spde direct run: T 10.0 is not a whole"):
+            main(["direct", "run", "--K", "7", "--epsilon", "0.5", "--T", "10",
+                  "--dt", "0.00015", "--out-dir", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
 
 class TestFbar:
@@ -212,7 +223,7 @@ class TestRatesTable:
 # ValueErrors ended in a traceback
 REJECTED = [
     pytest.param(["hmm", "run", "--dt", "0.15", "--ddt", "1e-6", "--T", "1.0"],
-                 r"hmm-spde hmm run: --T 1\.0 is not a whole number of --dt 0\.15 steps$",
+                 r"hmm-spde hmm run: T 1\.0 is not a whole number of macro_dt 0\.15 steps$",
                  id="hmm-horizon"),
     pytest.param(["hmm", "run", "--epsilon", "-1", "--dt", "0.1", "--ddt", "1e-6"],
                  "hmm-spde hmm run: epsilon must be positive and finite",

@@ -49,9 +49,11 @@ class TestHmmParams:
         assert p.n_0 == 10
         assert p.m_0 == 8  # n_T + N - 1
 
-    def test_floor_in_n0(self):
-        p = HmmParams(epsilon=1.0, macro_dt=0.3, micro_dt=0.001, T=1.0)
-        assert p.n_0 == 3
+    def test_horizon_must_be_whole_macro_steps(self):
+        # before: n_0 = floor(T / macro_dt) = 3, and the run ended at 0.9
+        with pytest.raises(ValueError,
+                           match=r"^T 1\.0 is not a whole number of macro_dt 0\.3 steps$"):
+            HmmParams(epsilon=1.0, macro_dt=0.3, micro_dt=0.001, T=1.0)
 
     def test_minimum_counts(self):
         with pytest.raises(ValueError):
@@ -195,7 +197,7 @@ class TestMacroStep:
     def test_first_mode_halves(self):
         K = 2
         op = laplacian_spec(K)
-        p = small_params(macro_dt=1 / PI2)
+        p = small_params(macro_dt=1 / PI2, T=1 / PI2)
         out = implicit_euler_step(np.array([1.0, 0.0]), np.zeros(K), p.macro_dt, op)
         assert out[0] == pytest.approx(0.5, rel=1e-14)
 
@@ -310,11 +312,9 @@ class TestRunHmm:
             run_hmm(default_x0(K), np.zeros(K), spec, op, op, small_params(), seed=0)
 
     def test_zero_step_run_rejected(self):
-        K = 4
-        op = laplacian_spec(K)
-        p = small_params(macro_dt=0.5, T=0.3)  # n_0 = 0
-        with pytest.raises(ValueError, match="horizon"):
-            run_hmm(default_x0(K), np.zeros(K), P1, op, op, p, seed=0)
+        # before: HmmParams took n_0 = 0 and run_hmm rejected it
+        with pytest.raises(ValueError, match=r"^T 0\.3 is not a whole number of macro_dt 0\.5 "):
+            small_params(macro_dt=0.5, T=0.3)
 
     def test_per_replica_initial_states(self):
         K = 5
@@ -517,7 +517,7 @@ class TestChooseParams:
 
     def test_tol_near_one_everything_small(self):
         p = choose_params(0.9, epsilon=0.01, regime="weak")
-        assert p.macro_dt == pytest.approx(0.9)
+        assert p.macro_dt == pytest.approx(0.5)  # 1 / ceil(1 / 0.9)
         assert p.N == 1 and p.M == 1
         assert p.n_T <= 2
 
@@ -548,6 +548,28 @@ class TestChooseParams:
             with pytest.raises(ValueError, match="^T must be positive and finite, got"):
                 choose_params(0.3, 1e-3, "weak", T=T)
 
+    @settings(max_examples=200, deadline=None)
+    @given(tol=st.floats(1e-150, 1, exclude_max=True), T=st.floats(0.01, 10))
+    def test_macro_dt_divides_T(self, tol, T):
+        # from about tol 1e-154 down, tau = tol^2 leaves no finite warm-up
+        # count: see test_tiny_tol_rejected
+        p = choose_params(tol, 1e-3, "weak", T=T)  # HmmParams' check passed
+        assert abs(p.n_0 * p.macro_dt - T) <= 1e-9 * T
+        assert p.macro_dt <= min(tol, T) * (1 + 1e-9)
+
+    def test_dividing_dt_kept(self):
+        # 0.27 / 0.09 = 3.0000000000000004: a plain ceil takes 4 steps of 0.0675
+        p = choose_params(0.09, 1e-3, "weak", T=0.27)
+        assert p.n_0 == 3
+        assert p.macro_dt == pytest.approx(0.09, rel=1e-15)
+
+    @pytest.mark.parametrize("regime", ["weak", "strong"])
+    @pytest.mark.parametrize("tol", [1e-160, 1e-200])
+    def test_tiny_tol_rejected(self, tol, regime):
+        # before: OverflowError or ZeroDivisionError
+        with pytest.raises(ValueError, match=f"^tol {tol} is too small"):
+            choose_params(tol, 1e-3, regime)
+
     # the mean strong error of a run with choose_params(tol) stays under
     # ERROR_PER_TOL * tol, and falls at least at first order in tol
     ERROR_PER_TOL = 0.5
@@ -555,23 +577,25 @@ class TestChooseParams:
 
     @pytest.mark.parametrize("branch", ["M1", "N1"])
     def test_tol_is_delivered(self, branch):
-        # p1, K = 15, 32 seeds, zero fast start: each run ends at n_0 dt,
-        # which is compared with the averaged flow at fine step n_0 dt / 256
+        # p1, K = 15, 32 seeds, zero fast start: each run ends at T, where it
+        # is compared with the averaged flow at fine step T / 256; the error
+        # is fitted against the dt that choose_params delivers
         op, coeffs, fbar, x0 = _setup("p1", 15)
         tols = (0.3, 0.2, 0.1)
-        errors, stderrs = [], []
+        dts, errors, stderrs = [], [], []
         for i, tol in enumerate(tols):
             p = choose_params(tol, 1e-4, "strong", T=0.5, coeffs=coeffs, op_b=op,
                               strong_branch=branch)
             seeds = [mix_seed(11, i, s) for s in range(32)]
             run = run_hmm(x0, np.zeros(15), coeffs, op, op, p, seeds)
-            t_end = p.n_0 * p.macro_dt
+            dts.append(p.macro_dt)
+            t_end = p.T
             ref = reference_solution(x0, fbar, op, T=t_end, fine_dt=t_end / 256).field
             norms = [np.linalg.norm(x - ref) for x in run.X_final]
             errors.append(np.mean(norms))
             stderrs.append(np.std(norms, ddof=1) / math.sqrt(len(norms)))
             assert errors[-1] / tol <= self.ERROR_PER_TOL, (tol, errors[-1])
-        slope = fit_loglog_slope(tols, errors, stderrs)[0]
+        slope = fit_loglog_slope(dts, errors, stderrs)[0]
         assert slope >= self.MIN_SLOPE, (errors, slope)
 
 
@@ -594,6 +618,14 @@ class TestCostCompare:
     def test_ratio_can_exceed_one(self):
         p = choose_params(0.1, 1.0, "weak")
         assert cost_compare(p, 0.1, 1.0, "weak") > 1
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        # before: 0 and inf raised ZeroDivisionError, -1 gave a ratio of -23.1
+        # and nan gave nan
+        p = choose_params(0.1, 1e-4, "weak")
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite, got"):
+            cost_compare(p, 0.1, epsilon, "weak")
 
     def test_kappa_margin_guard(self):
         p = choose_params(0.1, 1e-4, "strong")

@@ -129,6 +129,18 @@ class TestKeyStructure:
             with pytest.raises(ValueError, match="replica index out of range"):
                 NoiseStreamKey(0, replica=replica)
 
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 2**64), ("master_seed", -1), ("stream_tag", 2**32), ("stream_tag", -1)])
+    def test_seed_and_tag_out_of_range_rejected(self, field, value):
+        # before: the key words were masked, so seed 2**64 drew seed 0's
+        # normals, seed -1 those of 2**64 - 1 and tag 2**32 those of tag 0
+        kw = dict(master_seed=0, replica=0, stream_tag=0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"^{field} out of range"):
+            NoiseStreamKey(**kw)
+        for edge in (0, 2**64 - 1 if field == "master_seed" else 2**32 - 1):
+            NoiseStreamKey(**{**kw, field: edge})
+
     def test_fields_after_the_seed_are_keyword_only(self):
         # a stale positional call must fail, not read another stream
         assert [f.name for f in dataclasses.fields(NoiseStreamKey)] == [
