@@ -36,7 +36,7 @@ from .spectral import (
     to_grid,
     to_spectral,
 )
-from .spectral import _check_positive, _whole_steps
+from .spectral import _check_positive, _mode_count, _whole_steps
 
 __all__ = [
     "InvariantMeasureSpec",
@@ -92,14 +92,10 @@ def gaussian_discrete(op_b: OperatorSpec, tau: float) -> InvariantMeasureSpec:
     return InvariantMeasureSpec(mode_variances=discrete_stationary_variances(tau, op_b))
 
 
-def pointwise_variance(measure: InvariantMeasureSpec, xi, K: int | None = None):
+def pointwise_variance(measure: InvariantMeasureSpec, xi):
     """Variance of the invariant field at location(s) xi:
-    sigma^2(xi) = sum_k 2 sin^2(k pi xi) var_k, truncated at K modes."""
+    sigma^2(xi) = sum_k 2 sin^2(k pi xi) var_k over the measure's modes."""
     v = measure.mode_variances
-    if K is not None:
-        if K > v.size:
-            raise ValueError(f"K={K} exceeds the {v.size} stored mode variances")
-        v = v[:K]
     k = np.arange(1, v.size + 1, dtype=float)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     s2 = (2.0 * np.sin(np.outer(xi_arr, k) * np.pi) ** 2 @ v)
@@ -180,9 +176,7 @@ def run_averaged(
     into its row of the trajectory.
     """
     _check_positive("dt", dt)
-    if op_a.mode_count != x0.shape[-1]:
-        raise ValueError("operator mode counts must match the fields")
-    traj = np.empty((n_steps + 1, x0.shape[-1]))
+    traj = np.empty((n_steps + 1, _mode_count(x0, ops=(op_a,))))
     traj[0] = x0
     for xbar, xbar_next in zip(traj[:-1], traj[1:]):
         implicit_euler_step(xbar, fbar(xbar), dt, op_a, out=xbar_next)
@@ -212,8 +206,7 @@ def reference_solution(
     half step; each row equals :func:`run_averaged` at its step bit for bit.
     """
     n = _whole_steps(T, fine_dt, ("T", "fine_dt"))
-    if op_a.mode_count != x0.shape[-1]:
-        raise ValueError("operator mode counts must match the fields")
+    _mode_count(x0, ops=(op_a,))
     half = fine_dt / 2.0
     steps = np.array([[fine_dt], [half]])  # per row of the stack
     xs = np.array([x0, x0], dtype=float)
@@ -238,20 +231,17 @@ def make_gaussian_fbar(
     Gauss-Hermite quadrature, then transforms to coefficients.
 
     It acts row-wise on a (..., K) stack, as :data:`FbarProvider` requires,
-    and builds the y-samples sqrt(2) sigma(xi) t_q once per K.
+    for the measure's K modes (another mode count raises ValueError), and
+    builds the grid and the y-samples sqrt(2) sigma(xi) t_q once, here.
     """
     nodes, weights = _hermgauss(quad_order)
-    # K -> (xi as a column, y-samples sqrt(2) sigma_i t_q per grid point and node)
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    variances = measure.mode_variances
+    xi_col = grid_points(variances.size)[:, None]
+    y_nodes = np.sqrt(2.0) * np.sqrt(pointwise_variance(measure, xi_col))[:, None] * nodes
 
     def fbar(x: np.ndarray) -> np.ndarray:
-        K = x.shape[-1]
-        if K not in cache:
-            xi = grid_points(K)
-            sigma = np.sqrt(pointwise_variance(
-                measure, xi, K=min(K, measure.mode_variances.size)))
-            cache[K] = xi[:, None], np.sqrt(2.0) * sigma[:, None] * nodes[None, :]
-        xi_col, y_nodes = cache[K]
+        if x.shape[-1] != variances.size:  # one comparison per call on the hot path
+            _mode_count(x, variances)  # raises, naming both counts
         avg = spec.f(xi_col, to_grid(x)[..., None], y_nodes) @ weights
         avg /= _SQRT_PI
         return to_spectral(avg)

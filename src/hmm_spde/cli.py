@@ -137,7 +137,7 @@ def _cmd_direct_run(args) -> None:
     op = laplacian_spec(K)
     coeffs = preset(args.problem)
     x0 = default_x0(K)
-    _whole_steps(args.T, args.dt)  # run_direct itself ends at ceil(T/dt) steps
+    _whole_steps(args.T, args.dt)  # a dt that does not divide T: run_direct ends past T
     run = run_direct(x0, np.zeros(K), coeffs, op, op, args.epsilon, args.dt,
                      args.T, args.seed)
     out_dir = Path(args.out_dir)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import OperatorSpec, to_grid, to_spectral, grid_points
+from .spectral import OperatorSpec, _mode_count, to_grid, to_spectral, grid_points
 
 __all__ = [
     "CoefficientSpec",
@@ -70,19 +70,14 @@ class CoefficientSpec:
 
 def eval_F(spec: CoefficientSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Nemytskii action of f: transform to the grid, apply pointwise, transform back."""
-    K = x.shape[-1]
-    if y.shape[-1] != K:
-        raise ValueError(f"mode-count mismatch: x has {K}, y has {y.shape[-1]}")
-    xi = grid_points(K)
+    xi = grid_points(_mode_count(x, y))
     vals = spec.f(xi, to_grid(x), to_grid(y))
     return to_spectral(vals)
 
 
 def eval_G(spec: CoefficientSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Nemytskii action of g; zero field when no fast reaction is defined."""
-    K = x.shape[-1]
-    if y.shape[-1] != K:
-        raise ValueError(f"mode-count mismatch: x has {K}, y has {y.shape[-1]}")
+    K = _mode_count(x, y)
     if spec.g is None:
         return np.zeros(np.broadcast_shapes(x.shape, y.shape))
     xi = grid_points(K)

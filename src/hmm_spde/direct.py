@@ -32,7 +32,6 @@ step counts; ``trajectory=False`` skips it), the final fields (S, K), and
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ from .coefficients import CoefficientSpec
 from .micro import _CHUNK_STEPS, _check_finite, step_replicas
 from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
-from .spectral import _check_positive, _check_step_count
+from .spectral import _check_positive, _mode_count, _whole_steps
 
 __all__ = ["DirectRun", "run_direct", "DIRECT_STREAM_TAG"]
 
@@ -65,7 +64,7 @@ class DirectRun:
     trajectory_X: np.ndarray | None
     final_X: np.ndarray
     final_Y: np.ndarray
-    cost: int  # coupled steps summed over the rows: sum_r ceil(T/dt_r)
+    cost: int  # coupled steps summed over the rows
     dt: float | tuple[float, ...]
     seed: int | tuple[int, ...]
 
@@ -93,9 +92,8 @@ def run_direct(
     seed: int | Sequence[int],
     trajectory: bool = True,
 ) -> DirectRun:
-    """Integrate the coupled system to time T in ceil(T/dt) steps.
-
-    The run ends at ceil(T/dt) * dt, past T when dt does not divide it.
+    """Integrate the coupled system from 0 to T in whole steps of dt: T/dt
+    steps when dt divides T (relative 1e-9), else ceil(T/dt), ending past T.
 
     ``seed`` is an int or a sequence of S seeds.  A sequence advances S
     rows from the same (K,) initial fields ``x0``, ``y0`` in lock step;
@@ -103,21 +101,19 @@ def run_direct(
     stream_tag=DIRECT_STREAM_TAG)`` and equals the single-seed run with
     that seed bit for bit.  With seeds, ``epsilon`` and ``dt`` may each be
     one value per seed; row r then equals the single run (epsilon[r],
-    dt[r], seed[r]).  ``cost`` is sum_r ceil(T/dt_r).  The trajectory of
-    the slow field takes (steps + 1) * S * K * 8 bytes and needs equal step
-    counts; ``trajectory=False`` skips it.  A non-positive or non-finite
-    epsilon, dt, T or step count T/dt raises ValueError naming it (and the
-    row); a non-finite state raises one naming the seeds and the steps.
+    dt[r], seed[r]).  ``cost`` sums the rows' step counts.  The trajectory
+    of the slow field takes (steps + 1) * S * K * 8 bytes and needs equal
+    step counts; ``trajectory=False`` skips it.  A non-positive or
+    non-finite epsilon, dt, T or step count T/dt raises ValueError naming it
+    (and the row), as do mode counts of the fields and operators that
+    differ; a non-finite state raises one naming the seeds and the steps.
     """
     axis = _SeedAxis(seed)
     S = len(axis.seeds)
     eps_r = _rows("epsilon", epsilon, S, axis.single)
     dt_r = _rows("dt", dt, S, axis.single)
-    _check_step_count(T, min(dt_r))
-    K = x0.shape[-1]
-    if op_a.mode_count != K or op_b.mode_count != K:
-        raise ValueError("operator mode counts must match the fields")
-    steps_r = [math.ceil(T / d - 1e-12) for d in dt_r]
+    K = _mode_count(x0, y0, ops=(op_a, op_b))
+    steps_r = [_whole_steps(T, d, cover=True) for d in dt_r]
     if trajectory and len(set(steps_r)) > 1:
         raise ValueError("trajectory=True needs the same step count in every row")
     # rows by decreasing step count: the live rows are always a prefix

@@ -38,7 +38,7 @@ from .spectral import (
     to_grid,
     to_spectral,
 )
-from .spectral import _whole_steps
+from .spectral import _check_positive, _whole_steps
 
 __all__ = [
     "TestFunctional",
@@ -209,6 +209,13 @@ def _check_n_seeds(n_seeds: int) -> None:
                          f"got {n_seeds}")
 
 
+def _check_counts(name: str, values) -> None:
+    """A count sweep takes whole numbers: int() would run 1.5 as 1."""
+    for v in values:
+        if not float(v).is_integer():
+            raise ValueError(f"{name} sweep values must be whole numbers, got {v}")
+
+
 def _mean_stderr(values) -> tuple[float, float]:
     """Mean of per-seed scalars and its standard error std(ddof=1) / sqrt(n)."""
     v = np.asarray(values, dtype=float)
@@ -232,14 +239,16 @@ def invariant_law_tau_sweep(K: int, tau_list, drift_shift: float = 0.0) -> RateR
     With drift_shift = c >= 0 the chain is y' = R_tau(y - tau c y + sqrt(tau) z):
     per mode the discrete stationary variance is tau / ((1+tau mu)^2 - (1-c tau)^2)
     against the continuous 1/(2 (mu + c)); c = 0 recovers the pure-noise chain.
-    No Monte Carlo."""
+    No Monte Carlo.  A tau that is not positive and finite raises ValueError."""
     t0 = time.perf_counter()
     if drift_shift < 0:
         raise ValueError("drift_shift must be nonnegative")
+    taus = np.asarray(sorted(tau_list, reverse=True), float)
+    for tau in taus:
+        _check_positive("tau", tau)
     op_b = laplacian_spec(K)
     mu = op_b.eigenvalues
     c = drift_shift
-    taus = np.asarray(sorted(tau_list, reverse=True), float)
     if c > 0 and taus.max() * c >= 1:
         raise ValueError("need c * tau < 1 for a well-defined stationary law")
     errs = np.array(
@@ -342,12 +351,15 @@ def strong_error_experiment(
     ValueError), isolating the Monte-Carlo fluctuation term from warm-up
     bias.  The seeds of one sweep value run as one batched :func:`run_hmm`
     call, which equals the per-seed runs bit for bit.  ``n_seeds`` < 2 (no
-    standard error) raises ValueError.
+    standard error) or a sweep value of M, N or n_T that is not a whole
+    number raises ValueError.
     """
     t0 = time.perf_counter()
     if sweep not in ("M", "N", "n_T", "tau"):
         raise ValueError(f"sweep must be one of M, N, n_T, tau; got {sweep!r}")
     _check_n_seeds(n_seeds)
+    if sweep != "tau":
+        _check_counts(sweep, sweep_values)
     op, coeffs, fbar, x0 = _setup(problem, K)
     if coeffs.has_g:
         raise ValueError(f"the stationary start needs g = 0; {problem!r} has g != 0")
@@ -407,6 +419,7 @@ def warmup_bias_experiment(
     replica spread through the same H norm as the error.
     """
     t0 = time.perf_counter()
+    _check_counts("n_T", n_T_values)
     op_b = laplacian_spec(K)
     coeffs = preset(problem)
     if coeffs.has_g:
@@ -474,12 +487,15 @@ def weak_error_experiment(
     Desk-scale budgets make this noisy; the stderr column and the fit filter
     report that honestly.  The seeds of one sweep value run as one batched
     :func:`run_hmm` call, which equals the per-seed runs bit for bit.
-    ``n_seeds`` < 2 (no standard error) raises ValueError.
+    ``n_seeds`` < 2 (no standard error) or an n_T sweep value that is not a
+    whole number raises ValueError.
     """
     t0 = time.perf_counter()
     if sweep not in ("tau", "n_T"):
         raise ValueError(f"sweep must be 'tau' or 'n_T', got {sweep!r}")
     _check_n_seeds(n_seeds)
+    if sweep == "n_T":
+        _check_counts(sweep, sweep_values)
     op, coeffs, fbar, x0 = _setup(problem, K)
     functional = _cos_first_mode(K)
 

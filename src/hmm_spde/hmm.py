@@ -53,7 +53,7 @@ from .coefficients import (
 from .micro import _CHUNK_STEPS, contraction_factor, step_replicas
 from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
-from .spectral import _check_positive, _whole_steps
+from .spectral import _check_positive, _mode_count, _whole_steps
 
 __all__ = [
     "HmmParams",
@@ -244,9 +244,7 @@ def run_hmm(
     _validate_dissipativity(coeffs, op_b)
     axis = _SeedAxis(seed)
     seeds = axis.seeds
-    K = x0.shape[-1]
-    if op_a.mode_count != K or op_b.mode_count != K:
-        raise ValueError("operator mode counts must match the fields")
+    K = _mode_count(x0, y0, ops=(op_a, op_b))
     S, M = len(seeds), params.M
     y0 = np.asarray(y0, dtype=float)
     shapes = [(K,), (M, K)] if axis.single else [(K,), (M, K), (S, M, K)]
@@ -316,15 +314,10 @@ def choose_params(
     the rate is not explicit under weak dissipativity alone).  The macro step
     is T / n for the fewest n steps of at most tol^{1/(1-r)} that reach T.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if regime not in ("strong", "weak"):
-        raise ValueError(f"regime must be 'strong' or 'weak', got {regime!r}")
+    _check_target(tol, regime, kappa)
     r_cap = 0.5 if regime == "strong" else 1.0
     if not 0 <= r < r_cap:
         raise ValueError(f"need 0 <= r < {r_cap} in the {regime} regime, got {r}")
-    if not 0 <= kappa < 0.5:
-        raise ValueError(f"need 0 <= kappa < 1/2, got {kappa}")
     if strong_branch not in ("M1", "N1"):
         raise ValueError("strong_branch must be 'M1' or 'N1'")
 
@@ -366,6 +359,16 @@ def choose_params(
     )
 
 
+def _check_target(tol: float, regime: str, kappa: float) -> None:
+    """Raise ValueError unless 0 < tol < 1, regime is strong or weak and 0 <= kappa < 1/2."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if regime not in ("strong", "weak"):
+        raise ValueError(f"regime must be 'strong' or 'weak', got {regime!r}")
+    if not 0 <= kappa < 0.5:
+        raise ValueError(f"need 0 <= kappa < 1/2, got {kappa}")
+
+
 def cost_compare(
     params: HmmParams, tol: float, epsilon: float, regime: str, kappa: float = 0.0
 ) -> float:
@@ -376,18 +379,13 @@ def cost_compare(
     q is its order at the relevant accuracy notion (1/4 - kappa strong,
     1/2 - kappa weak in the space-time-white-noise setting), i.e. its cost is
     1/delta t ~ epsilon^{-1} tol^{-1/q}.  The ratio is reported as is; it can
-    exceed 1 when epsilon is not small.
+    exceed 1 when epsilon is not small.  tol, regime and kappa are checked
+    as in :func:`choose_params`.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    _check_target(tol, regime, kappa)
     _check_positive("epsilon", epsilon)
-    if regime == "strong":
-        q = 0.25 - kappa
-    elif regime == "weak":
-        q = 0.5 - kappa
-    else:
-        raise ValueError(f"regime must be 'strong' or 'weak', got {regime!r}")
-    if q <= 0:
+    q = (0.25 if regime == "strong" else 0.5) - kappa
+    if q <= 0:  # the strong order 1/4 - kappa needs kappa < 1/4
         raise ValueError(f"kappa={kappa} leaves no accuracy margin in the {regime} regime")
     hmm_cost = params.M * params.m_0 / params.macro_dt
     direct_cost = (1.0 / epsilon) * tol ** (-1.0 / q)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .coefficients import CoefficientSpec
 from .noise import NoiseStreamKey, NoiseStreams, draw_increments
-from .spectral import OperatorSpec, _check_positive, grid_points, to_grid, to_spectral
+from .spectral import OperatorSpec, _check_positive, _mode_count, grid_points, to_grid, to_spectral
 
 __all__ = [
     "MicroRunResult",
@@ -145,9 +145,7 @@ def run_micro(
         raise ValueError("steps must be nonnegative")
     if warmup < 1:
         raise ValueError("warmup must be >= 1: the window must exclude the initial state")
-    K = y0.shape[-1]
-    if frozen_x.shape[-1] != K or op_b.mode_count != K:
-        raise ValueError("mode-count mismatch")
+    K = _mode_count(y0, frozen_x, ops=(op_b,))
     count = max(0, steps - warmup + 1)  # window m = warmup..steps
     if batches < 1 or count % batches:
         raise ValueError(f"a window of {count} steps does not split into {batches} batches")

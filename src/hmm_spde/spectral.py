@@ -126,27 +126,33 @@ def _check_positive(name: str, value: float, where: str = "") -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}{where}")
 
 
-def _check_step_count(T: float, dt: float, names: tuple[str, str] = ("T", "dt")) -> None:
-    """Raise ValueError naming ``names``, the caller's names of T and dt,
-    unless T, dt and the step count T / dt are positive and finite."""
+def _whole_steps(T: float, dt: float, names: tuple[str, str] = ("T", "dt"),
+                 cover: bool = False) -> int:
+    """n with n * dt = T (relative 1e-9), else ValueError naming ``names``, the
+    caller's names of T and dt; with ``cover`` such a dt gives ceil(T / dt),
+    the fewest steps that reach T.  A T, dt or step count T / dt that is not
+    positive and finite raises ValueError naming it."""
     for name, value in zip(names, (T, dt)):
         _check_positive(name, value)
     if not float(T) / float(dt) < np.inf:  # Python floats: no overflow warning
         raise ValueError(f"step count {names[0]}/{names[1]} = {T}/{dt} is not finite")
-
-
-def _whole_steps(T: float, dt: float, names: tuple[str, str] = ("T", "dt"),
-                 cover: bool = False) -> int:
-    """n with n * dt = T (relative 1e-9); raises ValueError as
-    :func:`_check_step_count` does, or naming both when dt does not divide T.
-    With ``cover`` such a dt gives ceil(T / dt), the fewest steps that reach T."""
-    _check_step_count(T, dt, names)
     n = round(T / dt)
     if abs(n * dt - T) > 1e-9 * T:
         if not cover:
             raise ValueError(f"{names[0]} {T} is not a whole number of {names[1]} {dt} steps")
         n = int(np.ceil(T / dt))
     return n
+
+
+def _mode_count(*fields: np.ndarray, ops: tuple[OperatorSpec, ...] = ()) -> int:
+    """K, the last axis (0 for a 0-d array) of every field and the mode count
+    of every operator; raises ValueError naming the counts when they differ."""
+    counts = [(np.shape(a) or (0,))[-1] for a in fields]
+    op_counts = [op.mode_count for op in ops]
+    if len({*counts, *op_counts}) > 1:
+        raise ValueError(f"mode counts differ: fields {counts}"
+                         + (f", operators {op_counts}" if ops else ""))
+    return counts[0]
 
 
 def apply_resolvent(coeffs: np.ndarray, step: float, op: OperatorSpec) -> np.ndarray:

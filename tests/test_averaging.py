@@ -145,6 +145,16 @@ class TestFbarGaussian:
             out = make_gaussian_fbar(preset("p1"), m)(rng.standard_normal(K))
             assert h_norm(out) <= 1.0
 
+    @pytest.mark.parametrize("K", [1, 31])
+    def test_field_of_another_mode_count_rejected(self, K):
+        # the grid and y-samples are built for the measure's 15 modes; before,
+        # a field of K modes was averaged under min(K, 15) of the variances
+        fbar = make_gaussian_fbar(preset("p1"), gaussian_nu(laplacian_spec(15)))
+        with pytest.raises(ValueError, match=rf"^mode counts differ: fields \[{K}, 15\]$"):
+            fbar(np.zeros(K))
+        with pytest.raises(ValueError, match="mode counts"):
+            fbar(np.zeros((2, K)))
+
 
 class TestStackedProviders:
     # the FbarProvider contract: a provider acts row-wise on a (..., K) stack,

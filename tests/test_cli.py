@@ -111,6 +111,15 @@ class TestDirectRun:
         rows = read_csv(tmp_path / "direct_trajectory.csv")
         assert len(rows) == 9 and float(rows[-1][1]) == pytest.approx(0.7)
 
+    def test_dt_dividing_T_up_to_rounding_ends_at_T(self, tmp_path):
+        # before: the CLI took 0.333333333333 as 3 steps of T = 1, but
+        # run_direct took 4 and wrote a row at t = 1.33333333333
+        main(["direct", "run", "--problem", "p1", "--K", "4", "--epsilon", "1.0",
+              "--dt", "0.333333333333", "--T", "1.0", "--out-dir", str(tmp_path)])
+        rows = read_csv(tmp_path / "direct_trajectory.csv")
+        assert len(rows) == 5 and float(rows[-1][1]) <= 1.0  # header + 4 states
+        assert json.loads((tmp_path / "direct_cost.json").read_text())["total_steps"] == 3
+
     def test_rejected_horizon_never_runs(self, tmp_path, monkeypatch):
         # before: the horizon was checked after the whole run
         def run_direct(*args):

@@ -74,6 +74,29 @@ class TestRunDirect:
                           epsilon=0.5, dt=0.15, T=1.0, seed=0)
         assert run2.cost == 7  # ceil(1.0 / 0.15)
 
+    def test_dt_dividing_T_up_to_rounding_ends_at_T(self):
+        # before: ceil(T/dt - 1e-12) took 4 steps of 0.333333333333 and
+        # ended at 1.333333333332, though 3 steps reach T to a relative 1e-12
+        K = 4
+        op = laplacian_spec(K)
+        run = run_direct(default_x0(K), np.zeros(K), P1, op, op,
+                         epsilon=1.0, dt=0.333333333333, T=1.0, seed=0)
+        assert run.cost == 3
+        assert run.trajectory_X.shape == (4, K)
+
+    @pytest.mark.parametrize("tau_direct, counts", [
+        (0.1, (50, 167, 500)),  # the averaging benchmark workload
+        (0.002, (2500, 8334, 25000)),  # C09
+    ])
+    def test_averaging_sweep_step_counts(self, tau_direct, counts):
+        # the per-row dt = eps * tau_direct of averaging_experiment at T = 0.5:
+        # 0.5 / 0.003 is not whole and takes ceil, the others take T/dt
+        op = laplacian_spec(1)
+        eps = [0.1, 0.03, 0.01]
+        run = run_direct(np.zeros(1), np.zeros(1), P1, op, op, eps,
+                         [e * tau_direct for e in eps], 0.5, [1, 2, 3], trajectory=False)
+        assert run.cost == sum(counts)
+
     def test_operator_mode_count_must_match(self):
         # a one-mode operator would broadcast its eigenvalue over 15 modes
         K = 15

@@ -39,6 +39,10 @@ from hmm_spde.spectral import laplacian_spec
 PI2 = np.pi**2
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the experiment started work")
+
+
 class TestSlopeFits:
     def test_recovers_power_law(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
@@ -223,6 +227,13 @@ class TestInvariantTauSweep:
         b = invariant_law_tau_sweep(K=31, tau_list=(1e-2, 1e-3), drift_shift=0.0)
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("tau", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_tau_rejected(self, tau):
+        # before: tau = 0 gave a NaN row under a RuntimeWarning and tau < 0
+        # failed as "step must be nonnegative"
+        with pytest.raises(ValueError, match=rf"^tau must be positive and finite, got {tau}$"):
+            invariant_law_tau_sweep(K=7, tau_list=(1e-2, tau))
+
 
 class TestMacroOrder:
     def test_first_order_on_smooth_data(self):
@@ -266,6 +277,13 @@ class TestWarmupBias:
         b = warmup_bias_experiment(M=512, n_T_values=(1, 2), seed=9)
         assert a.rows == b.rows
 
+    def test_fractional_n_T_rejected_before_any_work(self, monkeypatch):
+        import hmm_spde.experiments as exp_mod
+
+        monkeypatch.setattr(exp_mod, "sample_stationary_linear", _no_work)
+        with pytest.raises(ValueError, match=r"^n_T sweep values must be whole numbers, got 1\.5$"):
+            warmup_bias_experiment(n_T_values=(1, 1.5), M=8)
+
 
 class TestStrongError:
     def test_tiny_sweep_structure_and_determinism(self):
@@ -295,6 +313,16 @@ class TestStrongError:
     def test_invalid_sweep_rejected(self):
         with pytest.raises(ValueError):
             strong_error_experiment(sweep="Q")
+
+    @pytest.mark.parametrize("sweep", ["M", "N", "n_T"])
+    def test_fractional_count_rejected_before_any_work(self, monkeypatch, sweep):
+        # before: int(1.5) ran the 1.5 row at 1 and reported it as 1.5
+        import hmm_spde.experiments as exp_mod
+
+        monkeypatch.setattr(exp_mod, "run_hmm", _no_work)
+        with pytest.raises(ValueError,
+                           match=rf"^{sweep} sweep values must be whole numbers, got 1\.5$"):
+            strong_error_experiment(sweep=sweep, sweep_values=(1, 1.5), K=7, n_seeds=2)
 
     def test_g_nonzero_rejected_before_any_work(self, monkeypatch):
         # replicas start from the stationary law of the g = 0 chain; p3 has
@@ -369,6 +397,13 @@ class TestWeakError:
         rep = weak_error_experiment(sweep="n_T", sweep_values=(2, 5), K=7,
                                     n_seeds=4, seed=1, tau=0.02, T=0.2)
         assert rep.sweep_variable == "n_T"
+
+    def test_fractional_n_T_rejected_before_any_work(self, monkeypatch):
+        import hmm_spde.experiments as exp_mod
+
+        monkeypatch.setattr(exp_mod, "run_hmm", _no_work)
+        with pytest.raises(ValueError, match=r"^n_T sweep values must be whole numbers, got 2\.5$"):
+            weak_error_experiment(sweep="n_T", sweep_values=(2, 2.5), K=7, n_seeds=2)
 
     def test_rows_equal_per_seed_loop(self):
         # the batched seeds give the same rows, bit for bit, as one run_hmm

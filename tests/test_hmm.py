@@ -631,3 +631,16 @@ class TestCostCompare:
         p = choose_params(0.1, 1e-4, "strong")
         with pytest.raises(ValueError):
             cost_compare(p, 0.1, 1e-4, "strong", kappa=0.25)
+
+    @pytest.mark.parametrize("bad", [dict(kappa=-1.0), dict(kappa=0.5), dict(kappa=np.nan),
+                                     dict(tol=1.5), dict(tol=0.0), dict(regime="both")])
+    def test_rejects_what_choose_params_rejects(self, bad):
+        # before: kappa = -1 gave a ratio of 0.00158, and kappa = 1/2 failed
+        # with another message than choose_params'
+        p = choose_params(0.1, 1e-3, "strong")
+        kw = dict(tol=0.1, epsilon=1e-3, regime="strong", kappa=0.0) | bad
+        with pytest.raises(ValueError) as chosen:
+            choose_params(**kw)
+        with pytest.raises(ValueError) as compared:
+            cost_compare(p, **kw)
+        assert str(compared.value) == str(chosen.value)

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hmm_spde.coefficients import preset
+from hmm_spde.averaging import reference_solution, run_averaged
+from hmm_spde.coefficients import eval_F, eval_G, preset
+from hmm_spde.direct import run_direct
+from hmm_spde.hmm import HmmParams, run_hmm
 from hmm_spde.micro import run_micro
 from hmm_spde.noise import NoiseStreamKey
 from hmm_spde.spectral import (
@@ -489,3 +492,43 @@ class TestOperatorSpecValue:
         assert b == a
         assert b.euler_denominator(0.1) is not den
         np.testing.assert_array_equal(b.euler_denominator(0.1), den)
+
+
+_P1, _OP7, _OP1 = preset("p1"), laplacian_spec(7), laplacian_spec(1)
+_KEY = NoiseStreamKey(0, replica=1)
+_HMM = HmmParams(epsilon=1.0, macro_dt=0.1, micro_dt=0.01, T=0.1)
+_FIELDS = "mode counts differ: fields [7, 1]"
+_OPS = "mode counts differ: fields [7, 7], operators [7, 1]"
+
+
+class TestModeCounts:
+    # one rule at every driver entry: the last axis of each field and the
+    # mode count of each operator agree, or one ValueError names the counts
+    # (before: three messages, and run_direct broadcast a (1,) y0 silently)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: run_direct(np.ones(7), np.zeros(1), _P1, _OP7, _OP7, 1.0, 0.1, 0.2, 0),
+         _FIELDS + ", operators [7, 7]"),
+        (lambda: run_direct(np.ones(7), np.zeros(7), _P1, _OP7, _OP1, 1.0, 0.1, 0.2, 0), _OPS),
+        (lambda: run_hmm(np.ones(7), np.zeros(1), _P1, _OP7, _OP7, _HMM, 0),
+         _FIELDS + ", operators [7, 7]"),
+        (lambda: run_hmm(np.ones(7), np.zeros(7), _P1, _OP7, _OP1, _HMM, 0), _OPS),
+        (lambda: run_micro(np.zeros(7), np.zeros(1), 1, _KEY, _P1, _OP7, 0.1),
+         _FIELDS + ", operators [7]"),
+        (lambda: run_micro(np.zeros(7), np.zeros(7), 1, _KEY, _P1, _OP1, 0.1),
+         "mode counts differ: fields [7, 7], operators [1]"),
+        (lambda: run_averaged(np.ones(7), lambda x: x, _OP1, 0.1, 2),
+         "mode counts differ: fields [7], operators [1]"),
+        (lambda: reference_solution(np.ones(7), lambda x: x, _OP1, 0.5, 0.5 / 16),
+         "mode counts differ: fields [7], operators [1]"),
+        (lambda: eval_F(_P1, np.zeros(7), np.zeros(1)), _FIELDS),
+        (lambda: eval_G(_P1, np.zeros(7), np.zeros(1)), _FIELDS),
+        (lambda: run_direct(np.ones(7), 0.0, _P1, _OP7, _OP7, 1.0, 0.1, 0.2, 0),
+         "mode counts differ: fields [7, 0], operators [7, 7]"),
+    ], ids=["run_direct-y0", "run_direct-op_b", "run_hmm-y0", "run_hmm-op_b",
+            "run_micro-frozen_x", "run_micro-op_b", "run_averaged", "reference_solution",
+            "eval_F", "eval_G", "run_direct-0d-y0"])
+    def test_every_entry_names_both_counts(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
