@@ -36,7 +36,7 @@ from .spectral import (
     to_grid,
     to_spectral,
 )
-from .spectral import _check_positive, _mode_count, _whole_steps
+from .spectral import _check_positive, _check_step, _mode_count, _whole_steps
 
 __all__ = [
     "InvariantMeasureSpec",
@@ -69,8 +69,7 @@ class InvariantMeasureSpec:
 
     def __post_init__(self):
         v = np.asarray(self.mode_variances, dtype=float)
-        if (v < 0).any():
-            raise ValueError("mode variances must be nonnegative")
+        _check_step(v, "mode variance")
         object.__setattr__(self, "mode_variances", v)
 
 
@@ -232,7 +231,8 @@ def make_gaussian_fbar(
 
     It acts row-wise on a (..., K) stack, as :data:`FbarProvider` requires,
     for the measure's K modes (another mode count raises ValueError), and
-    builds the grid and the y-samples sqrt(2) sigma(xi) t_q once, here.
+    builds the grid and the y-samples sqrt(2) sigma(xi) t_q once, here.  An
+    f that ignores y is broadcast against the y-samples, so fbar equals f.
     """
     nodes, weights = _hermgauss(quad_order)
     variances = measure.mode_variances
@@ -242,7 +242,10 @@ def make_gaussian_fbar(
     def fbar(x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != variances.size:  # one comparison per call on the hot path
             _mode_count(x, variances)  # raises, naming both counts
-        avg = spec.f(xi_col, to_grid(x)[..., None], y_nodes) @ weights
+        vals = spec.f(xi_col, to_grid(x)[..., None], y_nodes)
+        if np.shape(vals)[-1:] != y_nodes.shape[-1:]:  # an f that ignores y
+            vals = np.broadcast_to(vals, np.broadcast_shapes(np.shape(vals), y_nodes.shape))
+        avg = vals @ weights
         avg /= _SQRT_PI
         return to_spectral(avg)
 

@@ -21,7 +21,11 @@ states (S, M, K) stacks through the same loop, and copy s equals the
 single-seed run with seed s bit for bit (every stage is a row-wise
 transform, an elementwise map or a sum over the replica axis in replica
 order).  The estimator has one kernel, :func:`estimate_ftilde`, which
-:func:`run_hmm` calls once per macro step on the whole (S, M, K) stack.
+:func:`run_hmm` calls once per macro step on the whole (S, M, K) stack.  It
+averages the window by :func:`~hmm_spde.micro.run_micro`'s rule: f runs once
+per block of window grids, its values broadcast to the block's shape (an f
+that ignores y gives Ftilde = F, the averaged scheme's value), and the
+block's per-step replica sums are added in step order.
 
 Parameter selection follows the tolerance calculus: with target error tol and
 exponent margins r, kappa,
@@ -50,7 +54,8 @@ from .coefficients import (
     check_strict_dissipativity,
     check_weak_dissipativity,
 )
-from .micro import _CHUNK_STEPS, contraction_factor, step_replicas
+from .micro import _CHUNK_STEPS, _WINDOW_BLOCK, _accumulate, _f_block, contraction_factor
+from .micro import step_replicas
 from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
 from .spectral import _check_positive, _mode_count, _whole_steps
@@ -186,22 +191,30 @@ def estimate_ftilde(
     """One macro block for (S, K) frozen slow fields and (S, M, K) replicas.
 
     Takes the next m0 steps from ``noise`` (see :func:`_increments`) and
-    returns (Ftilde as (S, K), states).  The grid of a window step's states
-    feeds f and the next step's g.
+    returns (Ftilde as (S, K), states).  After n_T - 1 warm-up steps each
+    window step writes the grid of its states into a block buffer, which
+    holds at most ``_WINDOW_BLOCK`` numbers or one step, and hands it to the
+    next step's g.  f runs once per block, as in
+    :func:`~hmm_spde.micro.run_micro`; the block is summed over the replicas
+    step by step, then added to the sum in step order.
     """
     K = X.shape[-1]
-    tau = params.tau
+    tau, N = params.tau, params.N
     xi = grid_points(K)
     x_grid = to_grid(X)[:, None, :]
     res = 1.0 / op_b.euler_denominator(tau)
+    for _ in range(params.n_T - 1):
+        Y = step_replicas(Y, x_grid, xi, next(noise), res, tau, coeffs)
     f_sum = np.zeros(X.shape)
+    grids = np.empty((min(N, max(1, _WINDOW_BLOCK // Y.size)),) + Y.shape)
     y_grid = None
-    for m in range(1, params.m_0 + 1):
-        Y = step_replicas(Y, x_grid, xi, next(noise), res, tau, coeffs, y_grid)
-        if m >= params.n_T:
-            y_grid = to_grid(Y)
-            f_sum += coeffs.f(xi, x_grid, y_grid).sum(axis=1)
-    return to_spectral(f_sum / (params.M * params.N)), Y
+    for lo in range(0, N, len(grids)):
+        n = min(len(grids), N - lo)
+        for i in range(n):
+            Y = step_replicas(Y, x_grid, xi, next(noise), res, tau, coeffs, y_grid)
+            y_grid = to_grid(Y, out=grids[i])
+        f_sum = _accumulate(f_sum, _f_block(coeffs, xi, x_grid, grids[:n]).sum(axis=2))
+    return to_spectral(f_sum / (params.M * N)), Y
 
 
 def _validate_dissipativity(coeffs: CoefficientSpec, op_b: OperatorSpec) -> None:

@@ -74,6 +74,12 @@ def step_replicas(
     return out
 
 
+def _f_block(coeffs: CoefficientSpec, xi, x_grid, grids: np.ndarray) -> np.ndarray:
+    """F at a block of grid states, broadcast to their shape: an f that
+    ignores y still counts once per state."""
+    return np.broadcast_to(coeffs.f(xi, x_grid, grids), grids.shape)
+
+
 def _accumulate(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """acc + rows[0] + rows[1] + ... in row order, as a ``+=`` loop adds them
     (``np.add.reduce`` sums (n, 1) arrays pairwise)."""
@@ -176,8 +182,7 @@ def run_micro(
             b, pos = divmod(done + lo + 1 - warmup, per_batch)
             hi = min(n_chunk, lo + block, lo + per_batch - pos)
             states = z[lo:hi]
-            f_val = coeffs.f(xi, x_grid, to_grid(states))
-            f_sum[b] = _accumulate(f_sum[b], np.broadcast_to(f_val, states.shape))
+            f_sum[b] = _accumulate(f_sum[b], _f_block(coeffs, xi, x_grid, to_grid(states)))
             mode_sum = _accumulate(mode_sum, states)
             mode_sq_sum = _accumulate(mode_sq_sum, states * states)
             lo = hi

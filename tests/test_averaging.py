@@ -4,6 +4,7 @@ import pytest
 import hmm_spde.averaging as averaging_mod
 import hmm_spde.micro as micro_mod
 from hmm_spde.averaging import (
+    InvariantMeasureSpec,
     fbar_sampled,
     gaussian_discrete,
     gaussian_nu,
@@ -103,17 +104,18 @@ class TestFbarGaussian:
         assert center == pytest.approx(np.exp(-1 / 16), abs=1e-4)
 
     def test_y_independent_f_unchanged(self):
-        spec = CoefficientSpec(
-            name="noy", f=lambda xi, x, y: np.sin(np.pi * xi) * np.exp(-x**2) + 0 * y,
-            g=None, sup_f=1.0, sup_g=0.0, lipschitz_g_y=0.0,
-        )
+        # the second f ignores y (before: a matmul shape error)
         K = 15
         rng = np.random.default_rng(0)
         x = rng.standard_normal(K) * 0.3
         from hmm_spde.coefficients import eval_F
 
-        out = make_gaussian_fbar(spec, gaussian_nu(laplacian_spec(K)))(x)
-        np.testing.assert_allclose(out, eval_F(spec, x, np.zeros(K)), atol=1e-13)
+        for f in (lambda xi, x, y: np.sin(np.pi * xi) * np.exp(-x**2) + 0 * y,
+                  lambda xi, x, y: np.sin(np.pi * xi) * np.exp(-x**2)):
+            spec = CoefficientSpec(name="noy", f=f, g=None, sup_f=1.0, sup_g=0.0,
+                                   lipschitz_g_y=0.0)
+            out = make_gaussian_fbar(spec, gaussian_nu(laplacian_spec(K)))(x)
+            np.testing.assert_allclose(out, eval_F(spec, x, np.zeros(K)), atol=1e-13)
 
     def test_quadrature_order_converged(self):
         K = 31
@@ -195,6 +197,13 @@ class TestMeasures:
         np.testing.assert_allclose(
             m.mode_variances, 1 / (2 * (op.eigenvalues + 1.5)), rtol=1e-15
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_variance_rejected(self, bad):
+        # before: NaN and inf passed, and the oracle returned NaN
+        with pytest.raises(ValueError,
+                           match=rf"^mode variance must be nonnegative and finite, got {bad}$"):
+            InvariantMeasureSpec(mode_variances=np.array([bad, 0.1]))
 
     def test_discrete_limit_is_nu(self):
         op = laplacian_spec(5)

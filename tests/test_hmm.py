@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +21,14 @@ from hmm_spde.averaging import reference_solution, run_averaged
 from hmm_spde.coefficients import eval_F
 from hmm_spde.experiments import _setup, default_x0, fit_loglog_slope, sample_stationary_linear
 from hmm_spde.noise import NoiseStreamKey, mix_seed, standard_normals
-from hmm_spde.spectral import h_norm, implicit_euler_step, laplacian_spec
+from hmm_spde.spectral import (
+    grid_points,
+    h_norm,
+    implicit_euler_step,
+    laplacian_spec,
+    to_grid,
+    to_spectral,
+)
 
 PI2 = np.pi**2
 P1 = preset("p1")
@@ -39,6 +48,14 @@ def y_independent_spec():
         sup_f=1.0,
         sup_g=0.0,
         lipschitz_g_y=0.0,
+    )
+
+
+def y_free_spec():
+    # the same F with no y at all: f's values carry no replica or window axis
+    return dataclasses.replace(
+        y_independent_spec(), name="yfree",
+        f=lambda xi, x, y: np.sin(np.pi * xi) * np.exp(-np.square(x)),
     )
 
 
@@ -100,18 +117,20 @@ def estimate_block0(x, states, p, seed, coeffs, op):
 
 class TestEstimateFtilde:
     def test_y_independent_f_exact(self):
-        # constant average: Ftilde equals F(x) for any (N, M, n_T)
+        # constant average: Ftilde equals F(x) for any (N, M, n_T) and every
+        # seed row, also for an f that ignores y (before: Ftilde = F/M)
         K = 15
         op = laplacian_spec(K)
-        spec = y_independent_spec()
-        x = default_x0(K)
-        expected = eval_F(spec, x, np.zeros(K))
-        for N, M, nt in [(1, 1, 1), (3, 2, 2), (5, 4, 1)]:
-            p = small_params(N=N, M=M, n_T=nt)
-            states = np.zeros((M, K))
-            ft, new_states = estimate_block0(x, states, p, 11, spec, op)
-            np.testing.assert_allclose(ft, expected, atol=1e-13)
-            assert new_states.shape == (M, K)
+        X = np.stack([default_x0(K), -0.5 * default_x0(K)])
+        for spec in (y_independent_spec(), y_free_spec()):
+            expected = eval_F(spec, X, np.zeros(K))
+            for N, M, nt in [(1, 1, 1), (3, 2, 2), (5, 4, 1)]:
+                p = small_params(N=N, M=M, n_T=nt)
+                noise = hmm_mod._increments((11, 12), p, K)
+                ft, new_states = hmm_mod.estimate_ftilde(X, np.zeros((2, M, K)), p, noise,
+                                                         spec, op)
+                np.testing.assert_allclose(ft, expected, atol=1e-13)
+                assert new_states.shape == (2, M, K)
 
     def test_window_variance_matches_ar1_oracle(self):
         # g = 0, F(x, y) = y, stationary start: per-mode variance of Ftilde is
@@ -370,6 +389,54 @@ class TestRunHmm:
         assert all(args[2] is p for args in calls)
         np.testing.assert_array_equal(run.trajectory, plain.trajectory)
         np.testing.assert_array_equal(run.final_micro_states, plain.final_micro_states)
+
+
+def estimate_ftilde_per_step(X, Y, params, noise, coeffs, op_b):
+    """Reference: the macro-step kernel with one f call per window step,
+    added into the sum as soon as the step is taken."""
+    K = X.shape[-1]
+    tau = params.tau
+    xi = grid_points(K)
+    x_grid = to_grid(X)[:, None, :]
+    res = 1.0 / op_b.euler_denominator(tau)
+    f_sum = np.zeros(X.shape)
+    y_grid = None
+    for m in range(1, params.m_0 + 1):
+        Y = hmm_mod.step_replicas(Y, x_grid, xi, next(noise), res, tau, coeffs, y_grid)
+        if m >= params.n_T:
+            y_grid = to_grid(Y)
+            f_sum += coeffs.f(xi, x_grid, y_grid).sum(axis=1)
+    return to_spectral(f_sum / (params.M * params.N)), Y
+
+
+class TestWindowBlocks:
+    # block steps 1 give one f call per window step, 3 blocks that split
+    # N = 5 and 8 unevenly, None the default (the whole window in one block)
+    @pytest.mark.parametrize("block_steps", [1, 3, None])
+    @pytest.mark.parametrize("problem", ["p1", "p2"])
+    def test_blocks_equal_per_step_kernel(self, monkeypatch, problem, block_steps):
+        K = 5
+        op = laplacian_spec(K)
+        calls = []
+        spec = preset(problem)
+        coeffs = dataclasses.replace(spec, f=lambda *a: calls.append(1) or spec.f(*a))
+        rng = np.random.default_rng(21)
+        for S, M, nt, N in itertools.product((1, 3), (1, 4), (1, 3), (1, 5, 8)):
+            p = small_params(N=N, M=M, n_T=nt)
+            seeds = [5, 2**40 + 3, 17][:S]
+            if block_steps is not None:
+                monkeypatch.setattr(hmm_mod, "_WINDOW_BLOCK", block_steps * S * M * K)
+            X = rng.standard_normal((S, K))
+            Y = want_Y = 0.3 * rng.standard_normal((S, M, K))
+            noise = hmm_mod._increments(seeds, p, K)
+            want_noise = hmm_mod._increments(seeds, p, K)
+            for _ in range(p.n_0):
+                del calls[:]
+                ft, Y = hmm_mod.estimate_ftilde(X, Y, p, noise, coeffs, op)
+                assert len(calls) == -(-N // (block_steps or N))  # one f call per block
+                want, want_Y = estimate_ftilde_per_step(X, want_Y, p, want_noise, spec, op)
+                np.testing.assert_array_equal(ft, want)
+                np.testing.assert_array_equal(Y, want_Y)
 
 
 def nan_g_spec():
