@@ -119,12 +119,24 @@ class FbarSampled:
     window: int
 
 
+def _check_samples(name: str, n: int) -> None:
+    """A Monte-Carlo standard error needs at least two samples: ``n`` of ``name``."""
+    if n < 2:
+        raise ValueError(f"{name} must be >= 2 for a Monte-Carlo standard error, got {n}")
+
+
+def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of ``samples`` over their first axis and its standard error
+    std(ddof=1) / sqrt(n), the one rule behind every reported fluctuation."""
+    v = np.asarray(samples, dtype=float)
+    return v.mean(axis=0), v.std(axis=0, ddof=1) / np.sqrt(len(v))
+
+
 def _check_sampling(op_b: OperatorSpec, tau: float, window: int, batches: int) -> None:
     """Raise ValueError naming the tau, batches or window fbar_sampled cannot run."""
     _check_positive("tau", tau)
     op_b.euler_denominator(tau)
-    if batches < 2:
-        raise ValueError(f"batches must be >= 2, got {batches}")
+    _check_samples("batches", batches)
     if window < batches:
         raise ValueError(f"window {window} is shorter than batches={batches}")
 
@@ -151,9 +163,7 @@ def fbar_sampled(
     per_batch = window // batches
     res = run_micro(np.zeros(x.shape[-1]), x, warmup + per_batch * batches, key,
                     spec, op_b, tau, warmup=warmup + 1, batches=batches)
-    batch_means = to_grid(res.f_batch_means)
-    grid_mean = batch_means.mean(axis=0)
-    grid_stderr = batch_means.std(axis=0, ddof=1) / np.sqrt(batches)
+    grid_mean, grid_stderr = _mean_stderr(to_grid(res.f_batch_means))
     return FbarSampled(
         field=to_spectral(grid_mean),
         grid_values=grid_mean,

@@ -142,11 +142,10 @@ def run_direct(
     streams = NoiseStreams(
         [NoiseStreamKey(s, replica=1, stream_tag=DIRECT_STREAM_TAG) for s in seeds_s], K
     )
-    # one noise buffer holds about _CHUNK_STEPS * K numbers whatever S is,
-    # sized for the largest chunk: r + 1 rows live for steps[r + 1]..steps[r]
+    # one noise buffer of about _CHUNK_STEPS * K numbers whatever S is; a
+    # chunk of L live rows writes only its first n_chunk * L * K of them
     chunk = min(max(1, _CHUNK_STEPS // S), n_steps)
-    buf = np.empty(K * max(min(chunk, n - m) * (r + 1)
-                           for r, (n, m) in enumerate(zip(steps, steps[1:] + [0]))))
+    buf = np.empty(chunk * S * K)
     done = 0
     while done < n_steps:
         L = sum(n > done for n in steps)  # live rows
@@ -166,7 +165,7 @@ def run_direct(
             step_replicas(Y_l, x_grid, xi, incr[i], res_l, tau_l, coeffs, y_grid, out=Y_l)
             if traj is not None:
                 traj[done + i + 1] = X_l
-        _check_finite(seeds_s[:L], done + 1, done + n_chunk, X_l, Y_l)
+        _check_finite(seeds_s[:L], f"within steps {done + 1}..{done + n_chunk}", X_l, Y_l)
         XY[:, :L] = XY_l
         done += n_chunk
 

@@ -19,6 +19,8 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .averaging import (
+    _check_samples,
+    _mean_stderr,
     gaussian_discrete,
     gaussian_nu,
     gaussian_shifted,
@@ -29,7 +31,7 @@ from .averaging import (
 from .coefficients import CoefficientSpec, preset
 from .hmm import HmmParams, run_hmm
 from .direct import run_direct
-from .micro import discrete_stationary_variances, step_replicas
+from .micro import _f_block, discrete_stationary_variances, step_replicas
 from .noise import NoiseStreamKey, mix_seed, standard_normals
 from .spectral import (
     OperatorSpec,
@@ -202,24 +204,11 @@ def _cos_first_mode(K: int) -> TestFunctional:
     return TestFunctional(kind="cos_inner", h=h)
 
 
-def _check_n_seeds(n_seeds: int) -> None:
-    """Monte-Carlo experiments need two seeds for a standard error."""
-    if n_seeds < 2:
-        raise ValueError(f"n_seeds must be >= 2 for a Monte-Carlo standard error, "
-                         f"got {n_seeds}")
-
-
 def _check_counts(name: str, values) -> None:
     """A count sweep takes whole numbers: int() would run 1.5 as 1."""
     for v in values:
         if not float(v).is_integer():
             raise ValueError(f"{name} sweep values must be whole numbers, got {v}")
-
-
-def _mean_stderr(values) -> tuple[float, float]:
-    """Mean of per-seed scalars and its standard error std(ddof=1) / sqrt(n)."""
-    v = np.asarray(values, dtype=float)
-    return v.mean(), v.std(ddof=1) / math.sqrt(v.size)
 
 
 def sample_stationary_linear(
@@ -357,7 +346,7 @@ def strong_error_experiment(
     t0 = time.perf_counter()
     if sweep not in ("M", "N", "n_T", "tau"):
         raise ValueError(f"sweep must be one of M, N, n_T, tau; got {sweep!r}")
-    _check_n_seeds(n_seeds)
+    _check_samples("n_seeds", n_seeds)
     if sweep != "tau":
         _check_counts(sweep, sweep_values)
     op, coeffs, fbar, x0 = _setup(problem, K)
@@ -415,11 +404,18 @@ def warmup_bias_experiment(
     under the discrete equilibrium law (exact for g = 0); referencing the
     continuous-law coefficient instead would bury the exponential tail under
     the O(sqrt(tau)) invariant-law mismatch, which is a separate error term
-    with its own experiment.  The stderr column propagates the per-point
-    replica spread through the same H norm as the error.
+    with its own experiment.  F is read at the replicas by the window rule
+    of :func:`~hmm_spde.micro.run_micro` (an f that ignores y has no bias),
+    and the stderr column propagates the per-point replica spread through
+    the same H norm as the error.  ``M`` < 2 (no standard error), a
+    non-finite ``displacement`` or an n_T value that is not a whole number
+    raises ValueError.
     """
     t0 = time.perf_counter()
     _check_counts("n_T", n_T_values)
+    _check_samples("M", M)
+    if not math.isfinite(displacement):
+        raise ValueError(f"displacement must be finite, got {displacement}")
     op_b = laplacian_spec(K)
     coeffs = preset(problem)
     if coeffs.has_g:
@@ -442,9 +438,7 @@ def warmup_bias_experiment(
         incr = standard_normals(key, M * K, count=nt).reshape(nt, M, K) * math.sqrt(tau)
         for m in range(nt):
             y = step_replicas(y, x_grid, xi, incr[m], res, tau, coeffs)
-        fvals = coeffs.f(xi, x_grid, to_grid(y))  # (M, K) grid values
-        mean_grid = fvals.mean(axis=0)
-        se_grid = fvals.std(axis=0, ddof=1) / math.sqrt(M)
+        mean_grid, se_grid = _mean_stderr(_f_block(coeffs, xi, x_grid, to_grid(y)))
         bias = np.linalg.norm(to_spectral(mean_grid - fbar_grid))
         noise = math.sqrt(float(np.sum(se_grid**2)) / (K + 1))
         errors.append(bias)
@@ -493,7 +487,7 @@ def weak_error_experiment(
     t0 = time.perf_counter()
     if sweep not in ("tau", "n_T"):
         raise ValueError(f"sweep must be 'tau' or 'n_T', got {sweep!r}")
-    _check_n_seeds(n_seeds)
+    _check_samples("n_seeds", n_seeds)
     if sweep == "n_T":
         _check_counts(sweep, sweep_values)
     op, coeffs, fbar, x0 = _setup(problem, K)
@@ -557,7 +551,7 @@ def averaging_experiment(
     ``n_seeds`` < 2 (no standard error) raises ValueError.
     """
     t0 = time.perf_counter()
-    _check_n_seeds(n_seeds)
+    _check_samples("n_seeds", n_seeds)
     op, coeffs, fbar, x0 = _setup(problem, K)
     functional = _cos_first_mode(K)
     if reference_fine_dt is None:

@@ -54,8 +54,8 @@ from .coefficients import (
     check_strict_dissipativity,
     check_weak_dissipativity,
 )
-from .micro import _CHUNK_STEPS, _WINDOW_BLOCK, _accumulate, _f_block, contraction_factor
-from .micro import step_replicas
+from .micro import _CHUNK_STEPS, _WINDOW_BLOCK, _accumulate, _check_finite, _f_block
+from .micro import contraction_factor, step_replicas
 from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
 from .spectral import _check_positive, _mode_count, _whole_steps
@@ -275,7 +275,7 @@ def run_hmm(
     for n in range(n0):
         ftilde, Y = estimate_ftilde(X, Y, params, noise, coeffs, op_b)
         X = implicit_euler_step(X, ftilde, params.macro_dt, op_a)
-        _check_finite(X, Y, seeds, n)
+        _check_finite(seeds, f"in macro step {n}", X, Y)
         traj[n + 1] = X
 
     cost = CostReport(
@@ -292,19 +292,6 @@ def run_hmm(
         params=params,
         seed=axis.drop(seeds),
     )
-
-
-def _check_finite(X: np.ndarray, Y: np.ndarray, seeds, n: int) -> None:
-    """Raise if an (S, K) slow field or an (S, M, K) replica state is not finite."""
-    bad_y = ~np.isfinite(Y).all(axis=-1)
-    bad = ~np.isfinite(X).all(axis=-1) | bad_y.any(axis=-1)
-    if bad.any():
-        rows = np.flatnonzero(bad)
-        replicas = np.flatnonzero(bad_y[rows].any(axis=0)).tolist()
-        raise ValueError(
-            f"non-finite state for seed(s) {[seeds[s] for s in rows]} in macro "
-            f"step {n}, replica(s) {replicas}"
-        )
 
 
 def choose_params(

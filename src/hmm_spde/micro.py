@@ -176,7 +176,7 @@ def run_micro(
         for i in range(n_chunk):
             y = step_replicas(y, x_grid, xi, z[i], res, tau, coeffs)
             z[i] = y  # row i now holds the state after step done + i + 1
-        _check_finite((key.master_seed,), done + 1, done + n_chunk, y[None])
+        _check_finite((key.master_seed,), f"within steps {done + 1}..{done + n_chunk}", y[None])
         lo = max(0, warmup - done - 1)
         while lo < n_chunk:  # blocks end at batch edges
             b, pos = divmod(done + lo + 1 - warmup, per_batch)
@@ -200,15 +200,19 @@ def run_micro(
     )
 
 
-def _check_finite(seeds, first: int, last: int, *fields: np.ndarray) -> None:
-    """Raise if a row of the (S, K) ``fields`` holds a NaN or an infinity.
+def _check_finite(seeds, where: str, *fields: np.ndarray) -> None:
+    """Raise if a row of the (S, K) or (S, M, K) ``fields`` holds a NaN or an
+    infinity: the one blow-up guard of every stepping loop.
 
-    Row s belongs to ``seeds[s]``; the error names those seeds and the steps
-    first..last of the noise chunk the value appeared in.
+    Row s belongs to ``seeds[s]``; the error names those seeds, ``where``
+    (the steps of a noise chunk, or a macro step) and, for a field with a
+    replica axis, the replicas that are not finite in those rows.
     """
-    ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in fields])
-    if not ok.all():
-        bad = [seeds[s] for s in np.flatnonzero(~ok)]
-        raise ValueError(
-            f"non-finite state for seed(s) {bad} within steps {first}..{last}"
-        )
+    ok = [np.isfinite(a).all(axis=-1) for a in fields]
+    bad = ~np.logical_and.reduce([o if o.ndim == 1 else o.all(axis=-1) for o in ok])
+    if bad.any():
+        message = f"non-finite state for seed(s) {[seeds[s] for s in np.flatnonzero(bad)]} {where}"
+        for o in ok:
+            if o.ndim == 2:
+                message += f", replica(s) {np.flatnonzero(~o[bad].all(axis=0)).tolist()}"
+        raise ValueError(message)

@@ -299,7 +299,7 @@ class TestFbarSampled:
 
     @pytest.mark.parametrize("window, batches, message", [
         (10, 32, "^window 10 is shorter than batches=32$"),
-        (100, 1, "^batches must be >= 2, got 1$"),
+        (100, 1, "^batches must be >= 2 for a Monte-Carlo standard error, got 1$"),
     ])
     def test_short_window_or_one_batch_rejected(self, window, batches, message):
         with pytest.raises(ValueError, match=message):

@@ -284,6 +284,34 @@ class TestWarmupBias:
         with pytest.raises(ValueError, match=r"^n_T sweep values must be whole numbers, got 1\.5$"):
             warmup_bias_experiment(n_T_values=(1, 1.5), M=8)
 
+    @pytest.mark.parametrize("kw, message", [
+        # M = 1 gave nan stderr rows and a nan slope, M = 0 "count must be >= 1"
+        (dict(M=1), r"^M must be >= 2 for a Monte-Carlo standard error, got 1$"),
+        (dict(M=0), r"^M must be >= 2 for a Monte-Carlo standard error, got 0$"),
+        # a nan displacement gave nan rows without an error
+        (dict(displacement=math.nan), r"^displacement must be finite, got nan$"),
+        (dict(displacement=-math.inf), r"^displacement must be finite, got -inf$"),
+    ])
+    def test_bad_input_rejected_before_any_work(self, monkeypatch, kw, message):
+        import hmm_spde.experiments as exp_mod
+
+        monkeypatch.setattr(exp_mod, "sample_stationary_linear", _no_work)
+        monkeypatch.setattr(exp_mod, "preset", _no_work)
+        with pytest.raises(ValueError, match=message):
+            warmup_bias_experiment(**kw)
+
+    def test_y_free_f_has_no_bias(self, monkeypatch):
+        # an f that ignores y returns one (K,) row: averaged over the grid
+        # points instead of the replicas it read error 0.190 at every n_T
+        import hmm_spde.experiments as exp_mod
+
+        y_free = CoefficientSpec(name="y_free", f=lambda xi, x, y: np.sin(np.pi * x) + xi,
+                                 g=None, sup_f=2.0, sup_g=0.0, lipschitz_g_y=0.0)
+        monkeypatch.setattr(exp_mod, "preset", lambda name: y_free)
+        rep = warmup_bias_experiment(K=15, M=64, seed=3)
+        assert len(rep.rows) == 6
+        assert all(row.error <= 1e-14 for row in rep.rows)
+
 
 class TestStrongError:
     def test_tiny_sweep_structure_and_determinism(self):

@@ -555,7 +555,8 @@ class TestSeedAxis:
         with pytest.raises(ValueError, match=r"seed\(s\) \[4\] in macro step 0, "
                                              r"replica\(s\) \[0, 1\]"):
             run_hmm(default_x0(K), np.zeros(K), nan_g_spec(), op, op, p, seed=4)
-        with pytest.raises(ValueError, match=r"seed\(s\) \[4, 8\] in macro step 0"):
+        with pytest.raises(ValueError, match=r"seed\(s\) \[4, 8\] in macro step 0, "
+                                             r"replica\(s\) \[0, 1\]$"):
             run_hmm(default_x0(K), np.zeros(K), nan_g_spec(), op, op, p, seed=[4, 8])
 
 

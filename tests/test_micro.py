@@ -390,6 +390,21 @@ class TestRunMicro:
         with pytest.raises(ValueError, match=r"seed\(s\) \[4\] within steps 1\.\.3"):
             run_micro(*args)
 
+    def test_guard_names_seeds_and_replicas(self):
+        # the one blow-up guard: (S, K) fields name the seeds, an (S, M, K)
+        # field adds the replicas that are not finite in those seeds' rows
+        X = np.zeros((3, 2))
+        Y = np.zeros((3, 4, 2))
+        micro_mod._check_finite([5, 6, 7], "in macro step 0", X, Y)
+        Y[1, 2, 0] = np.inf
+        X[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite state for seed\(s\) \[6, 7\] "
+                                             r"in macro step 3, replica\(s\) \[2\]$"):
+            micro_mod._check_finite([5, 6, 7], "in macro step 3", X, Y)
+        with pytest.raises(ValueError, match=r"^non-finite state for seed\(s\) \[7\] "
+                                             r"within steps 1\.\.4$"):
+            micro_mod._check_finite([5, 6, 7], "within steps 1..4", X)
+
     def test_window_average_of_linear_f_near_zero(self):
         # g = 0, F(x, y) = y: the window average of each mode is centered, with
         # CLT scale sqrt(v_k / window_eff); check mode 1 within 4 sigma
