@@ -20,6 +20,7 @@ sampled estimator (a long fast-chain time average) is the fallback.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -120,7 +121,10 @@ class FbarSampled:
 
 
 def _check_samples(name: str, n: int) -> None:
-    """A Monte-Carlo standard error needs at least two samples: ``n`` of ``name``."""
+    """A Monte-Carlo standard error needs a whole count of at least two
+    samples: ``n`` of ``name``."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer sample count, got {n!r}")
     if n < 2:
         raise ValueError(f"{name} must be >= 2 for a Monte-Carlo standard error, got {n}")
 

@@ -54,6 +54,8 @@ EXPERIMENTS = {
     "averaging": lambda a: averaging_experiment(n_seeds=a.seeds, seed=a.seed),
     "macro_order": lambda a: macro_order_experiment(),
 }
+# the experiments that read --seeds; the others fix their own budget
+_SEEDED = ("strong_m", "weak_tau", "averaging")
 
 
 def _write_trajectory_csv(path: Path, traj: np.ndarray, dt: float) -> None:
@@ -179,6 +181,11 @@ def _cmd_fbar(args) -> None:
 
 
 def _cmd_rates(args) -> None:
+    if args.seeds is None:
+        args.seeds = 64
+    elif args.experiment not in _SEEDED:
+        raise ValueError(f"--experiment {args.experiment} fixes its own Monte-Carlo "
+                         f"budget and takes no --seeds")
     result = EXPERIMENTS[args.experiment](args)
     reports = ((result.strong, result.weak) if isinstance(result, AveragingReport)
                else (result,))
@@ -238,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rates_p = sub.add_parser("rates", help="rate experiments")
     rates_p.add_argument("--experiment", choices=EXPERIMENTS, required=True)
-    rates_p.add_argument("--seeds", type=int, default=64,
-                         help="Monte-Carlo budget per sweep point")
+    rates_p.add_argument("--seeds", type=int, default=None,
+                         help="Monte-Carlo budget per sweep point (default 64), read by "
+                              f"{', '.join(_SEEDED)}; the other experiments refuse it")
     rates_p.add_argument("--seed", type=int, default=0)
     rates_p.add_argument("--out-dir", default="out")
     rates_p.set_defaults(func=_cmd_rates)

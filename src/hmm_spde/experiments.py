@@ -32,7 +32,13 @@ from .coefficients import CoefficientSpec, preset
 from .hmm import HmmParams, run_hmm
 from .direct import run_direct
 from .micro import _f_block, discrete_stationary_variances, step_replicas
-from .noise import NoiseStreamKey, mix_seed, standard_normals
+from .noise import (
+    NoiseStreamKey,
+    NoiseStreams,
+    draw_increments,
+    mix_seed,
+    standard_normals,
+)
 from .spectral import (
     OperatorSpec,
     grid_points,
@@ -157,8 +163,11 @@ def fit_semilog_slope(values, errors, stderrs):
     return _fit_slope(values, errors, stderrs, log_x=False)
 
 
-def _make_report(name, sweep_variable, values, errors, stderrs, n_samples, t0, meta,
-                 fit_kind="loglog"):
+def _make_report(name, sweep_variable, values, errors, stderrs=0.0, n_samples=1, *,
+                 t0, meta, fit_kind="loglog"):
+    """One row per sweep value; ``stderrs`` and ``n_samples`` broadcast over
+    the rows (a deterministic sweep keeps the defaults 0 and 1)."""
+    errors, stderrs, n_samples = np.broadcast_arrays(errors, stderrs, n_samples)
     slope, lo, hi, used = _fit_slope(values, errors, stderrs, fit_kind == "loglog")
     rows = tuple(
         SweepRow(float(v), float(e), float(s), int(n))
@@ -197,18 +206,42 @@ def _setup(problem: str, K: int):
     return op, coeffs, fbar, default_x0(K)
 
 
-def _cos_first_mode(K: int) -> TestFunctional:
-    """cos(<x, e_1>), the observable of the weak errors."""
-    h = np.zeros(K)
-    h[0] = 1.0
-    return TestFunctional(kind="cos_inner", h=h)
+def _strong_error(finals: np.ndarray, ref: np.ndarray):
+    """E|X - ref| over the seeds' final fields X, and its standard error."""
+    # per-seed norms: an axis-wise norm sums in another order
+    return _mean_stderr([np.linalg.norm(x - ref) for x in finals])
+
+
+def _weak_error(finals: np.ndarray, ref: np.ndarray):
+    """|E cos<X, e_1> - cos<ref, e_1>| over the seeds' final fields X, and
+    the standard error of the mean."""
+    mean, stderr = _mean_stderr([np.cos(x[0]) for x in finals])
+    return abs(mean - np.cos(ref[0])), stderr
+
+
+def _hmm_sweep(swept, x0, y0, coeffs, op, seed: int, n_seeds: int, score, ref):
+    """(errors, stderrs): ``score`` against ``ref`` of the final fields of
+    ``n_seeds`` multiscale runs per swept :class:`HmmParams`.
+
+    The seeds mix_seed(seed, i, s) of the i-th params run as one batched
+    :func:`run_hmm` call, which equals the per-seed runs bit for bit, from
+    the fast start ``y0(params, seeds)``.
+    """
+    scores = []
+    for i, params in enumerate(swept):
+        seeds = [mix_seed(seed, i, s) for s in range(n_seeds)]
+        run = run_hmm(x0, y0(params, seeds), coeffs, op, op, params, seeds)
+        scores.append(score(run.X_final, ref))
+    return np.array(scores).T
 
 
 def _check_counts(name: str, values) -> None:
-    """A count sweep takes whole numbers: int() would run 1.5 as 1."""
+    """A count sweep takes whole numbers from 1: int() would run 1.5 as 1."""
     for v in values:
         if not float(v).is_integer():
             raise ValueError(f"{name} sweep values must be whole numbers, got {v}")
+        if v < 1:
+            raise ValueError(f"{name} sweep values must be >= 1, got {v}")
 
 
 def sample_stationary_linear(
@@ -249,16 +282,8 @@ def invariant_law_tau_sweep(K: int, tau_list, drift_shift: float = 0.0) -> RateR
             for tau in taus
         ]
     )
-    return _make_report(
-        "invariant_tau",
-        "tau",
-        taus,
-        errs,
-        np.zeros_like(errs),
-        np.ones_like(errs, dtype=int),
-        t0,
-        {"K": K, "drift_shift": c},
-    )
+    return _make_report("invariant_tau", "tau", taus, errs, t0=t0,
+                        meta={"K": K, "drift_shift": c})
 
 
 def macro_order_experiment(
@@ -273,7 +298,9 @@ def macro_order_experiment(
 
     Integrates the averaged equation with the quadrature-oracle coefficient
     over a dyadic dt sweep; the reference uses dt_min/fine_factor and its
-    Richardson gap is reported in the metadata.  Every dt must divide T.
+    Richardson gap is reported in the metadata.  Any problem with a Gaussian
+    oracle runs (g = 0 or a linear g); another raises ValueError.  Every dt
+    must divide T.
     """
     t0 = time.perf_counter()
     if fine_factor < 1:
@@ -282,9 +309,7 @@ def macro_order_experiment(
         dt_list = [T / 8, T / 16, T / 32, T / 64, T / 128]
     dts = np.asarray(sorted(dt_list, reverse=True), float)
     steps = [_whole_steps(T, dt) for dt in dts]
-    op, coeffs, fbar, default = _setup(problem, K)
-    if coeffs.has_g:
-        raise ValueError("macro-order experiment needs the Gaussian oracle (g = 0)")
+    op, _, fbar, default = _setup(problem, K)
     if x0 is None:
         x0 = default
 
@@ -294,16 +319,9 @@ def macro_order_experiment(
     for dt, n in zip(dts, steps):
         xbar = run_averaged(x0, fbar, op, dt, n)[-1]
         errs.append(np.linalg.norm(xbar - ref.field))
-    errs = np.array(errs)
     return _make_report(
-        "macro_order",
-        "dt",
-        dts,
-        errs,
-        np.zeros_like(errs),
-        np.ones_like(errs, dtype=int),
-        t0,
-        {"K": K, "T": T, "richardson_gap": ref.richardson_gap, "problem": problem},
+        "macro_order", "dt", dts, errs, t0=t0,
+        meta={"K": K, "T": T, "richardson_gap": ref.richardson_gap, "problem": problem},
     )
 
 
@@ -339,9 +357,9 @@ def strong_error_experiment(
     stationary law of the g = 0 chain (a problem with g != 0 raises
     ValueError), isolating the Monte-Carlo fluctuation term from warm-up
     bias.  The seeds of one sweep value run as one batched :func:`run_hmm`
-    call, which equals the per-seed runs bit for bit.  ``n_seeds`` < 2 (no
-    standard error) or a sweep value of M, N or n_T that is not a whole
-    number raises ValueError.
+    call, which equals the per-seed runs bit for bit.  ``n_seeds`` that is
+    not an integer or is below 2 (no standard error), or a sweep value of M,
+    N or n_T that is not a whole number from 1, raises ValueError.
     """
     t0 = time.perf_counter()
     if sweep not in ("M", "N", "n_T", "tau"):
@@ -357,31 +375,20 @@ def strong_error_experiment(
     base = HmmParams(epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau, T=T,
                      N=N, M=M, n_T=n_T)
     xbar = run_averaged(x0, fbar, op, base.macro_dt, base.n_0)[-1]
-    errors, stderrs = [], []
-    for ip, v in enumerate(sweep_values):
-        if sweep == "tau":
-            params = replace(base, micro_dt=epsilon * float(v))
-        else:
-            params = replace(base, **{sweep: int(v)})
-        seeds = [mix_seed(seed, ip, s) for s in range(n_seeds)]
-        y0 = np.stack([sample_stationary_linear(s, params.tau, op, params.M)
-                       for s in seeds])
-        run = run_hmm(x0, y0, coeffs, op, op, params, seeds)
-        # per-seed norms: an axis-wise norm sums in another order
-        error, stderr = _mean_stderr([np.linalg.norm(x - xbar) for x in run.X_final])
-        errors.append(error)
-        stderrs.append(stderr)
+    swept = [replace(base, **({"micro_dt": epsilon * float(v)} if sweep == "tau"
+                              else {sweep: int(v)}))
+             for v in sweep_values]
+
+    def stationary(params, seeds):
+        return np.stack([sample_stationary_linear(s, params.tau, op, params.M)
+                         for s in seeds])
 
     return _make_report(
-        f"strong_{sweep.lower()}",
-        sweep,
-        np.asarray(sweep_values, float),
-        np.array(errors),
-        np.array(stderrs),
-        np.full(len(sweep_values), n_seeds),
-        t0,
-        {"problem": problem, "K": K, "T": T, "macro_dt": macro_dt, "tau": tau,
-         "N": N, "M": M, "n_T": n_T, "seed": seed, "stationary_init": True},
+        f"strong_{sweep.lower()}", sweep, sweep_values,
+        *_hmm_sweep(swept, x0, stationary, coeffs, op, seed, n_seeds, _strong_error, xbar),
+        n_seeds, t0=t0,
+        meta={"problem": problem, "K": K, "T": T, "macro_dt": macro_dt, "tau": tau,
+              "N": N, "M": M, "n_T": n_T, "seed": seed, "stationary_init": True},
     )
 
 
@@ -407,8 +414,10 @@ def warmup_bias_experiment(
     with its own experiment.  F is read at the replicas by the window rule
     of :func:`~hmm_spde.micro.run_micro` (an f that ignores y has no bias),
     and the stderr column propagates the per-point replica spread through
-    the same H norm as the error.  ``M`` < 2 (no standard error), a
-    non-finite ``displacement`` or an n_T value that is not a whole number
+    the same H norm as the error.  The warm-up noise is read forward from
+    one stream of M K numbers per step, one step at a time.  ``M`` that is
+    not an integer or is below 2 (no standard error), a non-finite
+    ``displacement`` or an n_T value that is not a whole number from 1
     raises ValueError.
     """
     t0 = time.perf_counter()
@@ -430,14 +439,13 @@ def warmup_bias_experiment(
 
     errors, stderrs = [], []
     for ip, nt in enumerate(n_T_values):
-        nt = int(nt)
         point_seed = mix_seed(seed, ip)
         y = sample_stationary_linear(point_seed, tau, op_b, M)
         y[:, 0] += displacement
-        key = NoiseStreamKey(point_seed, replica=1)
-        incr = standard_normals(key, M * K, count=nt).reshape(nt, M, K) * math.sqrt(tau)
-        for m in range(nt):
-            y = step_replicas(y, x_grid, xi, incr[m], res, tau, coeffs)
+        streams = NoiseStreams([NoiseStreamKey(point_seed, replica=1)], M * K)
+        for _ in range(int(nt)):
+            incr = draw_increments(streams, tau, 1).reshape(M, K)
+            y = step_replicas(y, x_grid, xi, incr, res, tau, coeffs)
         mean_grid, se_grid = _mean_stderr(_f_block(coeffs, xi, x_grid, to_grid(y)))
         bias = np.linalg.norm(to_spectral(mean_grid - fbar_grid))
         noise = math.sqrt(float(np.sum(se_grid**2)) / (K + 1))
@@ -446,16 +454,10 @@ def warmup_bias_experiment(
 
     a1 = float(res[0])
     return _make_report(
-        "strong_nt",
-        "n_T",
-        np.asarray(n_T_values, float),
-        np.array(errors),
-        np.array(stderrs),
-        np.full(len(n_T_values), M),
-        t0,
-        {"problem": problem, "K": K, "tau": tau, "M": M,
-         "displacement": displacement, "seed": seed,
-         "reference_rate_per_step": -2.0 * math.log(a1)},
+        "strong_nt", "n_T", n_T_values, errors, stderrs, M, t0=t0,
+        meta={"problem": problem, "K": K, "tau": tau, "M": M,
+              "displacement": displacement, "seed": seed,
+              "reference_rate_per_step": -2.0 * math.log(a1)},
         fit_kind="semilogy",
     )
 
@@ -481,8 +483,8 @@ def weak_error_experiment(
     Desk-scale budgets make this noisy; the stderr column and the fit filter
     report that honestly.  The seeds of one sweep value run as one batched
     :func:`run_hmm` call, which equals the per-seed runs bit for bit.
-    ``n_seeds`` < 2 (no standard error) or an n_T sweep value that is not a
-    whole number raises ValueError.
+    ``n_seeds`` that is not an integer or is below 2 (no standard error), or
+    an n_T sweep value that is not a whole number from 1, raises ValueError.
     """
     t0 = time.perf_counter()
     if sweep not in ("tau", "n_T"):
@@ -491,34 +493,22 @@ def weak_error_experiment(
     if sweep == "n_T":
         _check_counts(sweep, sweep_values)
     op, coeffs, fbar, x0 = _setup(problem, K)
-    functional = _cos_first_mode(K)
 
     # the swept parameter changes neither macro_dt nor n_0: one reference
     base = HmmParams(epsilon=epsilon, macro_dt=macro_dt, micro_dt=epsilon * tau, T=T)
-    phi_bar = functional(run_averaged(x0, fbar, op, base.macro_dt, base.n_0)[-1])
-    errors, stderrs = [], []
-    for ip, v in enumerate(sweep_values):
-        if sweep == "tau":
-            params = replace(base, micro_dt=epsilon * float(v),
-                             n_T=max(1, int(round(warmup_time / float(v)))))
-        else:
-            params = replace(base, n_T=int(v))
-        run = run_hmm(x0, np.zeros(K), coeffs, op, op, params,
-                      [mix_seed(seed, ip, s) for s in range(n_seeds)])
-        mean, stderr = _mean_stderr([functional(x) for x in run.X_final])
-        errors.append(abs(mean - phi_bar))
-        stderrs.append(stderr)
+    xbar = run_averaged(x0, fbar, op, base.macro_dt, base.n_0)[-1]
+    swept = [replace(base, micro_dt=epsilon * float(v),
+                     n_T=max(1, int(round(warmup_time / float(v)))))
+             if sweep == "tau" else replace(base, n_T=int(v))
+             for v in sweep_values]
 
     return _make_report(
-        "weak_" + sweep.lower(),
-        sweep,
-        np.asarray(sweep_values, float),
-        np.array(errors),
-        np.array(stderrs),
-        np.full(len(sweep_values), n_seeds),
-        t0,
-        {"problem": problem, "K": K, "T": T, "macro_dt": macro_dt,
-         "warmup_time": warmup_time, "seed": seed, "functional": functional.kind},
+        "weak_" + sweep.lower(), sweep, sweep_values,
+        *_hmm_sweep(swept, x0, lambda params, seeds: np.zeros(K), coeffs, op, seed,
+                    n_seeds, _weak_error, xbar),
+        n_seeds, t0=t0,
+        meta={"problem": problem, "K": K, "T": T, "macro_dt": macro_dt,
+              "warmup_time": warmup_time, "seed": seed, "functional": "cos_inner"},
     )
 
 
@@ -548,38 +538,30 @@ def averaging_experiment(
     error of cos(<x, e_1>) against epsilon.  The whole sweep is one
     :func:`run_direct` call: its rows are (epsilon, seed) pairs with per-row epsilon and dt,
     stepped in lock step, and each row equals its single run bit for bit.
-    ``n_seeds`` < 2 (no standard error) raises ValueError.
+    ``n_seeds`` that is not an integer or is below 2 (no standard error)
+    raises ValueError.
     """
     t0 = time.perf_counter()
     _check_samples("n_seeds", n_seeds)
     op, coeffs, fbar, x0 = _setup(problem, K)
-    functional = _cos_first_mode(K)
     if reference_fine_dt is None:
         reference_fine_dt = T / 2048
     ref = reference_solution(x0, fbar, op, T, reference_fine_dt)
-    phi_ref = functional(ref.field)
 
-    strong_err, strong_se, weak_err, weak_se = [], [], [], []
     eps_arr = np.asarray(sorted(eps_values, reverse=True), float)
     eps_rows = np.repeat(eps_arr, n_seeds)
     run = run_direct(x0, np.zeros(K), coeffs, op, op, eps_rows, eps_rows * tau_direct,
                      T, [mix_seed(seed, ip, s) for ip in range(eps_arr.size)
                          for s in range(n_seeds)], trajectory=False)
-    for final_X in run.final_X.reshape(eps_arr.size, n_seeds, K):
-        # per-seed norms: an axis-wise norm sums in another order
-        dist, dist_se = _mean_stderr([np.linalg.norm(x - ref.field) for x in final_X])
-        phi, phi_se = _mean_stderr([functional(x) for x in final_X])
-        strong_err.append(dist)
-        strong_se.append(dist_se)
-        weak_err.append(abs(phi - phi_ref))
-        weak_se.append(phi_se)
+    finals = run.final_X.reshape(eps_arr.size, n_seeds, K)
 
     meta = {"problem": problem, "K": K, "T": T, "tau_direct": tau_direct,
             "seed": seed, "richardson_gap": ref.richardson_gap,
-            "functional": functional.kind}
-    n_col = np.full(len(eps_arr), n_seeds)
-    strong = _make_report("averaging", "epsilon", eps_arr, np.array(strong_err),
-                          np.array(strong_se), n_col, t0, meta)
-    weak = _make_report("averaging_weak", "epsilon", eps_arr, np.array(weak_err),
-                        np.array(weak_se), n_col, t0, meta)
+            "functional": "cos_inner"}
+    strong, weak = (
+        _make_report(name, "epsilon", eps_arr,
+                     *np.array([score(x, ref.field) for x in finals]).T, n_seeds,
+                     t0=t0, meta=meta)
+        for name, score in (("averaging", _strong_error), ("averaging_weak", _weak_error))
+    )
     return AveragingReport(strong=strong, weak=weak)

@@ -306,6 +306,17 @@ class TestFbarSampled:
             fbar_sampled(preset("p2"), np.zeros(4), laplacian_spec(4), 0.01, window,
                          NoiseStreamKey(0, replica=1), batches=batches)
 
+    @pytest.mark.parametrize("batches, shown", [
+        (2.5, r"2\.5"), (np.float64(32.0), r"(np\.float64\()?32\.0\)?"),
+    ], ids=["2.5", "float64"])
+    def test_non_integer_batches_rejected(self, batches, shown):
+        # these failed deep inside with "'float' object cannot be
+        # interpreted as an integer"
+        with pytest.raises(ValueError,
+                           match=f"^batches must be an integer sample count, got {shown}$"):
+            fbar_sampled(preset("p2"), np.zeros(4), laplacian_spec(4), 0.01, 640,
+                         NoiseStreamKey(0, replica=1), batches=batches)
+
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError):
             fbar_sampled(

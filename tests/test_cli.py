@@ -204,7 +204,8 @@ class TestRatesTable:
             return tiny_report(csvs[0])
 
         monkeypatch.setattr(cli_mod, func, fake)
-        main(["rates", "--experiment", name, "--seeds", "5", "--seed", "9",
+        seeds = ["--seeds", "5"] if "n_seeds" in expected else []
+        main(["rates", "--experiment", name, *seeds, "--seed", "9",
               "--out-dir", str(tmp_path)])
         assert calls == [expected]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -219,6 +220,14 @@ class TestRatesTable:
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert not tmp_path.joinpath("bogus.csv").exists()
+
+    def test_help_names_the_experiments_that_read_seeds(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("read by strong_m, weak_tau, averaging; "
+                "the other experiments refuse it") in text
 
     @pytest.mark.parametrize("name", ["strong_m", "weak_tau", "averaging"])
     def test_one_seed_rejected(self, tmp_path, name):
@@ -243,6 +252,14 @@ REJECTED = [
                  "hmm-spde rates: n_seeds must be >= 2", id="rates-seeds"),
     pytest.param(["hmm", "run", "--tol", "2"], r"hmm-spde hmm run: tol must lie in \(0, 1\)",
                  id="hmm-tol"),
+    pytest.param(["hmm", "run", "--dt", "0.1"],
+                 r"explicit parameter mode needs --dt and --ddt \(missing \['ddt'\]\)$",
+                 id="hmm-dt-without-ddt"),
+    # an experiment with its own budget ran and ignored --seeds
+    *(pytest.param(["rates", "--experiment", name, "--seeds", "5"],
+                   f"hmm-spde rates: --experiment {name} fixes its own Monte-Carlo "
+                   "budget and takes no --seeds$", id=f"rates-{name}-seeds")
+      for name in ("strong_nt", "invariant_tau", "macro_order")),
     # these ended in an OverflowError, ZeroDivisionError or "math domain
     # error" traceback
     pytest.param(["hmm", "run", "--dt", "0.05", "--ddt", "1e-6", "--T", "inf"],

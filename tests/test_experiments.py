@@ -246,8 +246,16 @@ class TestMacroOrder:
         assert np.isfinite(rep.rows[0].error)
 
     def test_g_preset_rejected(self):
-        with pytest.raises(ValueError):
+        # p2's g = 4 sin y has no Gaussian oracle to integrate against
+        with pytest.raises(ValueError,
+                           match="^no Gaussian averaging oracle for coefficients 'p2'$"):
             macro_order_experiment(problem="p2")
+
+    def test_linear_g_runs_on_its_shifted_oracle(self):
+        # p3's g = -y has an exact shifted-variance oracle: first order as p1
+        rep = macro_order_experiment(K=15, T=0.5, problem="p3", fine_factor=32)
+        assert rep.slope >= 0.9
+        assert rep.meta["richardson_gap"] < min(r.error for r in rep.rows) / 10
 
     @pytest.mark.parametrize("fine_factor", [0, -2])
     def test_fine_factor_below_one_rejected(self, fine_factor):
@@ -291,6 +299,11 @@ class TestWarmupBias:
         # a nan displacement gave nan rows without an error
         (dict(displacement=math.nan), r"^displacement must be finite, got nan$"),
         (dict(displacement=-math.inf), r"^displacement must be finite, got -inf$"),
+        # a fractional M failed deep inside with "'float' object cannot be
+        # interpreted as an integer"
+        (dict(M=64.5), r"^M must be an integer sample count, got 64\.5$"),
+        (dict(M=np.float64(64.0)),
+         r"^M must be an integer sample count, got (np\.float64\()?64\.0\)?$"),
     ])
     def test_bad_input_rejected_before_any_work(self, monkeypatch, kw, message):
         import hmm_spde.experiments as exp_mod
@@ -299,6 +312,14 @@ class TestWarmupBias:
         monkeypatch.setattr(exp_mod, "preset", _no_work)
         with pytest.raises(ValueError, match=message):
             warmup_bias_experiment(**kw)
+
+    @pytest.mark.parametrize("n_T", [0, -1])
+    def test_n_T_below_one_rejected_before_any_work(self, monkeypatch, n_T):
+        import hmm_spde.experiments as exp_mod
+
+        monkeypatch.setattr(exp_mod, "sample_stationary_linear", _no_work)
+        with pytest.raises(ValueError, match=rf"^n_T sweep values must be >= 1, got {n_T}$"):
+            warmup_bias_experiment(n_T_values=(1, n_T), M=8)
 
     def test_y_free_f_has_no_bias(self, monkeypatch):
         # an f that ignores y returns one (K,) row: averaged over the grid
@@ -366,28 +387,33 @@ class TestStrongError:
 
     def test_rows_equal_per_seed_loop(self):
         # the batched seeds give the same rows, bit for bit, as one run_hmm
-        # call per seed; at this K and seed an axis-wise norm over the stack
-        # changes the rows, so this also pins the per-seed norm
-        K, T, tau, n_T, n_seeds, seed = 15, 0.2, 1e-3, 5, 3, 11
-        sweep_values = (1, 3)
-        rep = strong_error_experiment(sweep="M", sweep_values=sweep_values, K=K, T=T,
-                                      tau=tau, n_T=n_T, n_seeds=n_seeds, seed=seed)
+        # call per seed, for every swept parameter; at this K and seed an
+        # axis-wise norm over the stack changes the rows, so this also pins
+        # the per-seed norm
+        K, T, n_seeds, seed = 15, 0.2, 3, 11
         op = laplacian_spec(K)
         coeffs = preset("p1")
         fbar = make_gaussian_fbar(coeffs, gaussian_nu(op), quad_order=40)
         x0 = default_x0(K)
-        for ip, M in enumerate(sweep_values):
-            params = HmmParams(epsilon=1e-6, macro_dt=0.1, micro_dt=1e-6 * tau, T=T,
-                               N=1, M=M, n_T=n_T)
-            xbar = run_averaged(x0, fbar, op, params.macro_dt, params.n_0)[-1]
-            errs = np.empty(n_seeds)
-            for s in range(n_seeds):
-                run_seed = mix_seed(seed, ip, s)
-                y0 = sample_stationary_linear(run_seed, params.tau, op, M)
-                run = run_hmm(x0, y0, coeffs, op, op, params, run_seed)
-                errs[s] = np.linalg.norm(run.X_final - xbar)
-            assert rep.rows[ip].error == errs.mean()
-            assert rep.rows[ip].mc_stderr == errs.std(ddof=1) / math.sqrt(n_seeds)
+        base = dict(N=1, M=1, n_T=5, tau=1e-3)
+        for sweep, sweep_values in [("M", (1, 3)), ("N", (1, 3)), ("n_T", (2, 5)),
+                                    ("tau", (1e-3, 4e-4))]:
+            rep = strong_error_experiment(sweep=sweep, sweep_values=sweep_values, K=K,
+                                          T=T, n_seeds=n_seeds, seed=seed, **base)
+            for ip, v in enumerate(sweep_values):
+                kw = {**base, sweep: v}
+                params = HmmParams(epsilon=1e-6, macro_dt=0.1, micro_dt=1e-6 * kw["tau"],
+                                   T=T, N=kw["N"], M=kw["M"], n_T=kw["n_T"])
+                xbar = run_averaged(x0, fbar, op, params.macro_dt, params.n_0)[-1]
+                errs = np.empty(n_seeds)
+                for s in range(n_seeds):
+                    run_seed = mix_seed(seed, ip, s)
+                    y0 = sample_stationary_linear(run_seed, params.tau, op, params.M)
+                    run = run_hmm(x0, y0, coeffs, op, op, params, run_seed)
+                    errs[s] = np.linalg.norm(run.X_final - xbar)
+                assert rep.rows[ip].value == v
+                assert rep.rows[ip].error == errs.mean(), (sweep, v)
+                assert rep.rows[ip].mc_stderr == errs.std(ddof=1) / math.sqrt(n_seeds)
 
 
 class TestWeakError:
@@ -536,6 +562,23 @@ class TestSeedBudget:
 
         monkeypatch.setattr(exp_mod, "preset", no_work)
         with pytest.raises(ValueError, match=f"^n_seeds must be >= 2 .* got {n_seeds}$"):
+            experiment(n_seeds=n_seeds)
+
+    @pytest.mark.parametrize("n_seeds, shown", [
+        (2.5, r"2\.5"), (np.float64(3.0), r"(np\.float64\()?3\.0\)?"),
+    ], ids=["2.5", "float64"])
+    @pytest.mark.parametrize("experiment", [
+        strong_error_experiment, weak_error_experiment, averaging_experiment,
+    ])
+    def test_non_integer_count_rejected_before_any_work(self, monkeypatch, experiment,
+                                                        n_seeds, shown):
+        # these failed deep inside with "'float' object cannot be
+        # interpreted as an integer"
+        import hmm_spde.experiments as exp_mod
+
+        monkeypatch.setattr(exp_mod, "preset", _no_work)
+        with pytest.raises(ValueError,
+                           match=f"^n_seeds must be an integer sample count, got {shown}$"):
             experiment(n_seeds=n_seeds)
 
 
