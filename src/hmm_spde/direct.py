@@ -21,7 +21,7 @@ for bit (every stage is a row-wise transform or elementwise).
 Rows go in order of decreasing step count, so the live rows are a prefix of
 the stack that shrinks at each horizon; one slow update per coupled step
 covers the live rows, each at its own dt_r.  The streams are opened once and
-read forward into one noise buffer.
+read forward, each up to its row's step count, by ``NoiseStreams.chunks``.
 X and Y live in one (2, S, K) buffer, so one ``to_grid`` call per coupled
 step transforms both, and the y grid goes on to g.  Each step writes into
 buffers made once per noise chunk (``out=``); both updates read the
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSpec
-from .micro import _CHUNK_STEPS, _check_finite, step_replicas
+from .micro import _check_finite, step_replicas
 from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
 from .spectral import _check_positive, _mode_count, _whole_steps
@@ -127,7 +127,6 @@ def run_direct(
             f"dt/epsilon = {tau.max():.3g} > 0.5: the fast scale is underresolved",
             stacklevel=2,
         )
-    n_steps = steps[0]
 
     xi = grid_points(K)
     res = 1.0 / op_b.euler_denominator(tau)
@@ -135,24 +134,16 @@ def run_direct(
     X, Y = XY
     X[:] = x0
     Y[:] = y0
-    traj = np.empty((n_steps + 1, S, K)) if trajectory else None
+    traj = np.empty((steps[0] + 1, S, K)) if trajectory else None
     if traj is not None:
         traj[0] = X
 
     streams = NoiseStreams(
         [NoiseStreamKey(s, replica=1, stream_tag=DIRECT_STREAM_TAG) for s in seeds_s], K
     )
-    # one noise buffer of about _CHUNK_STEPS * K numbers whatever S is; a
-    # chunk of L live rows writes only its first n_chunk * L * K of them
-    chunk = min(max(1, _CHUNK_STEPS // S), n_steps)
-    buf = np.empty(chunk * S * K)
-    done = 0
-    while done < n_steps:
-        L = sum(n > done for n in steps)  # live rows
-        streams.keep(L)
-        n_chunk = min(chunk, steps[L - 1] - done)
-        incr = draw_increments(streams, tau[:L, 0], n_chunk,
-                               out=buf[:n_chunk * L * K].reshape(n_chunk, L, K))
+    for done, incr in streams.chunks(steps):
+        n_chunk, L = incr.shape[:2]  # L live rows
+        draw_increments(streams, tau[:L, 0], n_chunk, out=incr)
         XY_l = XY[:, :L].copy()  # the live rows, contiguous for the transforms
         X_l, Y_l = XY_l
         grids_l, f_l = np.empty_like(XY_l), np.empty((L, K))
@@ -167,7 +158,6 @@ def run_direct(
                 traj[done + i + 1] = X_l
         _check_finite(seeds_s[:L], f"within steps {done + 1}..{done + n_chunk}", X_l, Y_l)
         XY[:, :L] = XY_l
-        done += n_chunk
 
     # back to the caller's row order; np.argsort would page in numpy's sort
     # code, about 0.35 MiB of peak RSS

@@ -235,12 +235,17 @@ def _hmm_sweep(swept, x0, y0, coeffs, op, seed: int, n_seeds: int, score, ref):
     return np.array(scores).T
 
 
-def _check_counts(name: str, values) -> None:
-    """A count sweep takes whole numbers from 1: int() would run 1.5 as 1."""
+def _check_sweep(name: str, values, count: bool = False) -> None:
+    """Every experiment's entry rule for its sweep: not empty, and whole numbers
+    from 1 for a ``count`` (int() would run 1.5 as 1), else positive and finite."""
+    if len(values) == 0:
+        raise ValueError(f"{name} sweep is empty")
     for v in values:
-        if not float(v).is_integer():
+        if not count:
+            _check_positive(name, v)
+        elif not float(v).is_integer():
             raise ValueError(f"{name} sweep values must be whole numbers, got {v}")
-        if v < 1:
+        elif v < 1:
             raise ValueError(f"{name} sweep values must be >= 1, got {v}")
 
 
@@ -261,13 +266,12 @@ def invariant_law_tau_sweep(K: int, tau_list, drift_shift: float = 0.0) -> RateR
     With drift_shift = c >= 0 the chain is y' = R_tau(y - tau c y + sqrt(tau) z):
     per mode the discrete stationary variance is tau / ((1+tau mu)^2 - (1-c tau)^2)
     against the continuous 1/(2 (mu + c)); c = 0 recovers the pure-noise chain.
-    No Monte Carlo.  A tau that is not positive and finite raises ValueError."""
+    No Monte Carlo.  An empty sweep or a bad tau raises ValueError."""
     t0 = time.perf_counter()
+    _check_sweep("tau", tau_list)
+    taus = np.asarray(sorted(tau_list, reverse=True), float)
     if drift_shift < 0:
         raise ValueError("drift_shift must be nonnegative")
-    taus = np.asarray(sorted(tau_list, reverse=True), float)
-    for tau in taus:
-        _check_positive("tau", tau)
     op_b = laplacian_spec(K)
     mu = op_b.eigenvalues
     c = drift_shift
@@ -300,13 +304,14 @@ def macro_order_experiment(
     over a dyadic dt sweep; the reference uses dt_min/fine_factor and its
     Richardson gap is reported in the metadata.  Any problem with a Gaussian
     oracle runs (g = 0 or a linear g); another raises ValueError.  Every dt
-    must divide T.
+    must be positive and divide T, and an empty sweep raises ValueError.
     """
     t0 = time.perf_counter()
     if fine_factor < 1:
         raise ValueError(f"fine_factor must be >= 1, got {fine_factor}")
     if dt_list is None:
         dt_list = [T / 8, T / 16, T / 32, T / 64, T / 128]
+    _check_sweep("dt", dt_list)
     dts = np.asarray(sorted(dt_list, reverse=True), float)
     steps = [_whole_steps(T, dt) for dt in dts]
     op, _, fbar, default = _setup(problem, K)
@@ -358,15 +363,14 @@ def strong_error_experiment(
     ValueError), isolating the Monte-Carlo fluctuation term from warm-up
     bias.  The seeds of one sweep value run as one batched :func:`run_hmm`
     call, which equals the per-seed runs bit for bit.  ``n_seeds`` that is
-    not an integer or is below 2 (no standard error), or a sweep value of M,
-    N or n_T that is not a whole number from 1, raises ValueError.
+    not an integer or is below 2 (no standard error), an empty sweep, an M,
+    N or n_T not a whole number from 1, or a bad tau raises ValueError.
     """
     t0 = time.perf_counter()
     if sweep not in ("M", "N", "n_T", "tau"):
         raise ValueError(f"sweep must be one of M, N, n_T, tau; got {sweep!r}")
     _check_samples("n_seeds", n_seeds)
-    if sweep != "tau":
-        _check_counts(sweep, sweep_values)
+    _check_sweep(sweep, sweep_values, count=sweep != "tau")
     op, coeffs, fbar, x0 = _setup(problem, K)
     if coeffs.has_g:
         raise ValueError(f"the stationary start needs g = 0; {problem!r} has g != 0")
@@ -415,13 +419,12 @@ def warmup_bias_experiment(
     of :func:`~hmm_spde.micro.run_micro` (an f that ignores y has no bias),
     and the stderr column propagates the per-point replica spread through
     the same H norm as the error.  The warm-up noise is read forward from
-    one stream of M K numbers per step, one step at a time.  ``M`` that is
-    not an integer or is below 2 (no standard error), a non-finite
-    ``displacement`` or an n_T value that is not a whole number from 1
-    raises ValueError.
+    one stream of M K numbers per step, one step at a time.  ``M`` that is not
+    an integer or is below 2 (no standard error), a non-finite ``displacement``,
+    an empty sweep or an n_T not a whole number from 1 raises ValueError.
     """
     t0 = time.perf_counter()
-    _check_counts("n_T", n_T_values)
+    _check_sweep("n_T", n_T_values, count=True)
     _check_samples("M", M)
     if not math.isfinite(displacement):
         raise ValueError(f"displacement must be finite, got {displacement}")
@@ -443,9 +446,9 @@ def warmup_bias_experiment(
         y = sample_stationary_linear(point_seed, tau, op_b, M)
         y[:, 0] += displacement
         streams = NoiseStreams([NoiseStreamKey(point_seed, replica=1)], M * K)
-        for _ in range(int(nt)):
-            incr = draw_increments(streams, tau, 1).reshape(M, K)
-            y = step_replicas(y, x_grid, xi, incr, res, tau, coeffs)
+        for _, out in streams.chunks([int(nt)], cap=1):
+            draw_increments(streams, tau, 1, out=out)
+            y = step_replicas(y, x_grid, xi, out.reshape(M, K), res, tau, coeffs)
         mean_grid, se_grid = _mean_stderr(_f_block(coeffs, xi, x_grid, to_grid(y)))
         bias = np.linalg.norm(to_spectral(mean_grid - fbar_grid))
         noise = math.sqrt(float(np.sum(se_grid**2)) / (K + 1))
@@ -483,15 +486,15 @@ def weak_error_experiment(
     Desk-scale budgets make this noisy; the stderr column and the fit filter
     report that honestly.  The seeds of one sweep value run as one batched
     :func:`run_hmm` call, which equals the per-seed runs bit for bit.
-    ``n_seeds`` that is not an integer or is below 2 (no standard error), or
-    an n_T sweep value that is not a whole number from 1, raises ValueError.
+    ``n_seeds`` that is not an integer or is below 2 (no standard error), an
+    empty sweep, or a bad n_T, tau or ``warmup_time`` raises ValueError.
     """
     t0 = time.perf_counter()
     if sweep not in ("tau", "n_T"):
         raise ValueError(f"sweep must be 'tau' or 'n_T', got {sweep!r}")
     _check_samples("n_seeds", n_seeds)
-    if sweep == "n_T":
-        _check_counts(sweep, sweep_values)
+    _check_sweep(sweep, sweep_values, count=sweep == "n_T")
+    _check_positive("warmup_time", warmup_time)
     op, coeffs, fbar, x0 = _setup(problem, K)
 
     # the swept parameter changes neither macro_dt nor n_0: one reference
@@ -538,17 +541,18 @@ def averaging_experiment(
     error of cos(<x, e_1>) against epsilon.  The whole sweep is one
     :func:`run_direct` call: its rows are (epsilon, seed) pairs with per-row epsilon and dt,
     stepped in lock step, and each row equals its single run bit for bit.
-    ``n_seeds`` that is not an integer or is below 2 (no standard error)
-    raises ValueError.
+    ``n_seeds`` that is not an integer or is below 2 (no standard error),
+    an empty sweep or a bad epsilon raises ValueError.
     """
     t0 = time.perf_counter()
     _check_samples("n_seeds", n_seeds)
+    _check_sweep("epsilon", eps_values)
+    eps_arr = np.asarray(sorted(eps_values, reverse=True), float)
     op, coeffs, fbar, x0 = _setup(problem, K)
     if reference_fine_dt is None:
         reference_fine_dt = T / 2048
     ref = reference_solution(x0, fbar, op, T, reference_fine_dt)
 
-    eps_arr = np.asarray(sorted(eps_values, reverse=True), float)
     eps_rows = np.repeat(eps_arr, n_seeds)
     run = run_direct(x0, np.zeros(K), coeffs, op, op, eps_rows, eps_rows * tau_direct,
                      T, [mix_seed(seed, ip, s) for ip in range(eps_arr.size)

@@ -11,9 +11,8 @@ X_{n+1} = S_dt (X_n + dt * Ftilde_n).  Carried states Y_{n+1,0,j} = Y_{n,m0,j}
 keep each replica chain a single concatenated noise process: the noise of
 micro step m inside macro step n is step n*m0 + m of replica j's stream.
 A run therefore opens one Philox stream per (seed, replica) at step 0,
-``NoiseStreamKey(seed, replica=j)``, and reads it forward in chunks of at
-most one macro block and about ``_CHUNK_STEPS * K`` numbers, each converted
-in place in one buffer.
+``NoiseStreamKey(seed, replica=j)``, and reads it forward in the chunks of
+:meth:`~hmm_spde.noise.NoiseStreams.chunks`, capped at one macro block.
 
 :func:`run_hmm` takes one seed or a sequence of S seeds.  A sequence runs S
 independent copies in lock step: the slow fields are (S, K) and the replica
@@ -54,7 +53,7 @@ from .coefficients import (
     check_strict_dissipativity,
     check_weak_dissipativity,
 )
-from .micro import _CHUNK_STEPS, _WINDOW_BLOCK, _accumulate, _check_finite, _f_block
+from .micro import _WINDOW_BLOCK, _accumulate, _check_finite, _f_block
 from .micro import contraction_factor, step_replicas
 from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
@@ -159,25 +158,17 @@ def _increments(seeds: Sequence[int], params: HmmParams, K: int) -> Iterator[np.
 
     Opens one stream per (seed, replica j) at step 0 and reads it forward:
     the i-th step yielded is stream step i, micro step i % m0 of macro step
-    i // m0.
-    Chunks of max(1, _CHUNK_STEPS // (S M)) steps, and at most one macro
-    block, are converted into one buffer allocated here; each yielded step is
-    a view that the next chunk overwrites.  The cap at m0 keeps the buffer in
-    cache and the peak memory near that of one macro block when S M is small.
+    i // m0.  Each yielded step is a view that the next chunk overwrites.
+    The chunks are capped at one macro block, which keeps the buffer in cache
+    and the peak memory near that of one macro block when S M is small.
     """
     S, M, m0 = len(seeds), params.M, params.m_0
     streams = NoiseStreams(
         [NoiseStreamKey(s, replica=j) for s in seeds for j in range(1, M + 1)], K
     )
-    total = params.n_0 * m0
-    chunk = min(max(1, _CHUNK_STEPS // (S * M)), m0)
-    buf = np.empty((chunk, S, M, K))
-    done = 0
-    while done < total:
-        n = min(chunk, total - done)
-        draw_increments(streams, params.tau, n, out=buf[:n].reshape(n, S * M, K))
-        yield from buf[:n]
-        done += n
+    for _, out in streams.chunks([params.n_0 * m0] * (S * M), cap=m0):
+        draw_increments(streams, params.tau, len(out), out=out)
+        yield from out.reshape(-1, S, M, K)
 
 
 def estimate_ftilde(

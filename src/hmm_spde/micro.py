@@ -14,11 +14,11 @@ a_k = 1/(1 + tau mu_k), whose closed-form laws serve as oracles throughout
 the test suite.
 
 :func:`run_micro` opens one Philox stream at its key and reads it forward in
-chunks of at most ``_CHUNK_STEPS`` steps into one buffer allocated per run,
-so the chain is the same whatever the chunk size.  Only the recurrence runs
-step by step: each step's state replaces the increment it used, and the
-window statistics (grid transform, f, mode moments) then run once per chunk
-on blocks of those states, cut at batch edges and summed in step order.
+the chunks :meth:`~hmm_spde.noise.NoiseStreams.chunks` plans, so the chain
+is the same whatever the chunk size.  Only the recurrence runs step by step:
+each step's state replaces the increment it used, and the window statistics
+(grid transform, f, mode moments) then run once per chunk on blocks of
+those states, cut at batch edges and summed in step order.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "run_micro",
 ]
 
-# draw noise for at most this many steps at a time when batching long chains
-_CHUNK_STEPS = 32768
 # window statistics of a chunk run on blocks of about this many numbers
 _WINDOW_BLOCK = 2**16
 
@@ -167,12 +165,10 @@ def run_micro(
     mode_sq_sum = np.zeros(K)
 
     streams = NoiseStreams([key], K)
-    buf = np.empty((min(_CHUNK_STEPS, steps), 1, K))
     block = max(1, _WINDOW_BLOCK // K)
-    done = 0
-    while done < steps:
-        n_chunk = min(_CHUNK_STEPS, steps - done)
-        z = draw_increments(streams, tau, n_chunk, out=buf[:n_chunk])[:, 0]
+    for done, out in streams.chunks([steps]):
+        n_chunk = len(out)
+        z = draw_increments(streams, tau, n_chunk, out=out)[:, 0]
         for i in range(n_chunk):
             y = step_replicas(y, x_grid, xi, z[i], res, tau, coeffs)
             z[i] = y  # row i now holds the state after step done + i + 1
@@ -186,7 +182,6 @@ def run_micro(
             mode_sum = _accumulate(mode_sum, states)
             mode_sq_sum = _accumulate(mode_sq_sum, states * states)
             lo = hi
-        done += n_chunk
 
     if count == 0:
         return MicroRunResult(y, None, None, 0, None, None)

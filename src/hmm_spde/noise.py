@@ -26,14 +26,14 @@ it forward for the whole run, so micro step m of macro step n is step
 n * m0 + m; the direct solver opens one per seed, and the fast-chain run
 one at its key's step for its warm-up and all window batches.
 :func:`draw_increments` reads open streams; :func:`standard_normals` is the
-one keyed entry, a fresh stream at the key's step.  Streams that are done
-are dropped from the end with :meth:`NoiseStreams.keep`.
+one keyed entry, a fresh stream at the key's step.  Every solver reads in
+the chunks of one buffer that :meth:`NoiseStreams.chunks` plans.
 """
 
 from __future__ import annotations
 
 import numbers
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -50,6 +50,7 @@ __all__ = [
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 _CAST_BLOCK = 1 << 14  # numbers per in-place cast: 128 KiB, well inside L2
+_CHUNK_STEPS = 32768  # steps times open streams that one chunk of a read holds at most
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,27 @@ class NoiseStreams:
         if not self._gens:
             raise ValueError("no stream keys given")
 
-    def keep(self, count: int) -> None:
-        """Read only the first ``count`` streams from now on."""
-        del self._gens[count:]
+    def chunks(self, ends: Sequence[int], cap: int | None = None
+               ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (done, out): ``out`` is an unfilled (n, live, K) view of one
+        buffer for the next n steps of the ``live`` open streams whose ``ends``
+        (one per open stream, counted from now, non-increasing, >= 0) lie past
+        ``done``; streams that ended are closed first.  A chunk holds at most
+        max(1, _CHUNK_STEPS // streams) steps and ``cap`` >= 1 (default ends[0])."""
+        n_open, K = len(self._gens), self.K
+        if (len(ends) != n_open or ends[-1] < 0 or any(a < b for a, b in zip(ends, ends[1:]))
+                or cap is not None and cap < 1):
+            raise ValueError(f"bad read plan for {n_open} open streams: ends {ends}, cap {cap}")
+        chunk = min(max(1, _CHUNK_STEPS // n_open), ends[0] if cap is None else cap)
+        buf = np.empty(chunk * n_open * K)
+        done, live = 0, n_open
+        while done < ends[0]:
+            while ends[live - 1] <= done:
+                live -= 1
+            del self._gens[live:]
+            n = min(chunk, ends[live - 1] - done)
+            yield done, buf[:n * live * K].reshape(n, live, K)
+            done += n
 
     def standard_normals(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next ``count`` steps of every stream, shape (count, streams, K).

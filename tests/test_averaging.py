@@ -3,6 +3,7 @@ import pytest
 
 import hmm_spde.averaging as averaging_mod
 import hmm_spde.micro as micro_mod
+import hmm_spde.noise as noise_mod
 from hmm_spde.averaging import (
     InvariantMeasureSpec,
     fbar_sampled,
@@ -268,7 +269,7 @@ class TestFbarSampled:
         # bit for bit, also when window % batches != 0 and when noise chunks,
         # window blocks and batches end at different steps
         if chunk is not None:
-            monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", chunk)
+            monkeypatch.setattr(noise_mod, "_CHUNK_STEPS", chunk)
             monkeypatch.setattr(micro_mod, "_WINDOW_BLOCK", block)
         op = laplacian_spec(K)
         x = np.linspace(-1, 1, K)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmm_spde.direct as direct_mod
+import hmm_spde.noise as noise_mod
 from hmm_spde.averaging import run_averaged
 from hmm_spde.coefficients import CoefficientSpec, eval_F, eval_G, preset
 from hmm_spde.direct import DIRECT_STREAM_TAG, run_direct
@@ -191,7 +192,7 @@ class TestRunDirect:
             kw = dict(epsilon=0.1, dt=0.01, T=0.3, seed=seed)
             with monkeypatch.context() as m:
                 full = run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
-                m.setattr(direct_mod, "_CHUNK_STEPS", 7)
+                m.setattr(noise_mod, "_CHUNK_STEPS", 7)
                 chunked = run_direct(default_x0(K), np.zeros(K), P1, op, op, **kw)
             np.testing.assert_array_equal(full.trajectory_X, chunked.trajectory_X)
             np.testing.assert_array_equal(full.final_Y, chunked.final_Y)
@@ -303,7 +304,7 @@ class TestSeedAxis:
         kw = dict(epsilon=0.1, dt=0.01, T=0.1)
         singles = [run_direct(default_x0(K), np.zeros(K), P1, op, op, seed=s, **kw)
                    for s in seeds]
-        with mock.patch.object(direct_mod, "_CHUNK_STEPS", chunk):
+        with mock.patch.object(noise_mod, "_CHUNK_STEPS", chunk):
             batch = run_direct(default_x0(K), np.zeros(K), P1, op, op, seed=seeds, **kw)
         assert batch.cost == len(seeds) * 10
         for s, one in enumerate(singles):
@@ -387,7 +388,7 @@ class TestSeedAxis:
 
         def run(rs):
             seeds, eps, dts = map(list, zip(*rs))
-            with mock.patch.object(direct_mod, "_CHUNK_STEPS", chunk):
+            with mock.patch.object(noise_mod, "_CHUNK_STEPS", chunk):
                 return run_direct(default_x0(K), np.zeros(K), coeffs, op, op, eps, dts, 0.05,
                                   seeds, trajectory=False)
 
@@ -414,7 +415,7 @@ class TestSeedAxis:
         with pytest.raises(ValueError, match=r"seed\(s\) \[4\] within steps 1\.\.5"):
             run_direct(default_x0(K), np.zeros(K), nan_spec(), op, op, seed=4, **kw)
         # the check runs once per noise chunk: 4 // 2 seeds = 2-step chunks
-        monkeypatch.setattr(direct_mod, "_CHUNK_STEPS", 4)
+        monkeypatch.setattr(noise_mod, "_CHUNK_STEPS", 4)
         with pytest.raises(ValueError, match=r"seed\(s\) \[4, 8\] within steps 1\.\.2"):
             run_direct(default_x0(K), np.zeros(K), nan_spec(), op, op, seed=[4, 8],
                        trajectory=False, **kw)

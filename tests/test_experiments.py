@@ -582,6 +582,43 @@ class TestSeedBudget:
             experiment(n_seeds=n_seeds)
 
 
+class TestSweepEntry:
+    @pytest.mark.parametrize("experiment, kw, message", [
+        # a zero tau raised ZeroDivisionError and a nan one "cannot convert
+        # float NaN to integer" in the warm-up rule n_T = warmup_time / tau
+        (weak_error_experiment, dict(sweep_values=(0.04, 0.0)),
+         r"^tau must be positive and finite, got 0\.0$"),
+        (weak_error_experiment, dict(sweep_values=(0.04, math.nan)),
+         r"^tau must be positive and finite, got nan$"),
+        # these ran silently as n_T = 1
+        (weak_error_experiment, dict(warmup_time=-1.0),
+         r"^warmup_time must be positive and finite, got -1\.0$"),
+        (weak_error_experiment, dict(warmup_time=0.0),
+         r"^warmup_time must be positive and finite, got 0\.0$"),
+        # named micro_dt, the parameter the tau became
+        (strong_error_experiment, dict(sweep="tau", sweep_values=(1e-4, 0.0)),
+         r"^tau must be positive and finite, got 0\.0$"),
+        (averaging_experiment, dict(eps_values=(0.1, -0.01)),
+         r"^epsilon must be positive and finite, got -0\.01$"),
+        # an empty sweep failed deep inside or gave a report of zero rows
+        (strong_error_experiment, dict(sweep_values=()), r"^M sweep is empty$"),
+        (weak_error_experiment, dict(sweep_values=()), r"^tau sweep is empty$"),
+        (averaging_experiment, dict(eps_values=()), r"^epsilon sweep is empty$"),
+        (macro_order_experiment, dict(dt_list=[]), r"^dt sweep is empty$"),
+        (warmup_bias_experiment, dict(n_T_values=()), r"^n_T sweep is empty$"),
+        (invariant_law_tau_sweep, dict(K=7, tau_list=()), r"^tau sweep is empty$"),
+    ], ids=["weak-tau-0", "weak-tau-nan", "warmup-negative", "warmup-0", "strong-tau-0",
+            "averaging-eps-negative", "strong-empty", "weak-empty", "averaging-empty",
+            "macro-order-empty", "warmup-bias-empty", "invariant-tau-empty"])
+    def test_bad_sweep_rejected_before_any_work(self, monkeypatch, experiment, kw, message):
+        import hmm_spde.experiments as exp_mod
+
+        monkeypatch.setattr(exp_mod, "laplacian_spec", _no_work)
+        monkeypatch.setattr(exp_mod, "preset", _no_work)
+        with pytest.raises(ValueError, match=message):
+            experiment(**kw)
+
+
 class TestStationaryInit:
     def test_matches_declared_variances(self):
         op = laplacian_spec(6)

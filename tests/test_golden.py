@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 import scipy
 
-import hmm_spde.micro as micro_mod
+import hmm_spde.noise as noise_mod
 from hmm_spde import cli
 from hmm_spde.averaging import (
     fbar_sampled,
@@ -128,12 +128,12 @@ def _reference_solution_p3():
 def _run_micro(problem="p2", steps=40, warmup=5):
     # 16-step noise chunks: pins the chunk split as well
     op = laplacian_spec(K)
-    saved, micro_mod._CHUNK_STEPS = micro_mod._CHUNK_STEPS, 16
+    saved, noise_mod._CHUNK_STEPS = noise_mod._CHUNK_STEPS, 16
     try:
         res = run_micro(np.zeros(K), default_x0(K), steps, NoiseStreamKey(29, replica=1),
                         preset(problem), op, 0.05, warmup=warmup)
     finally:
-        micro_mod._CHUNK_STEPS = saved
+        noise_mod._CHUNK_STEPS = saved
     return _digest(res.y, res.f_window_mean, res.mode_mean,
                    res.mode_second_moment)
 

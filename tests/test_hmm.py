@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmm_spde.hmm as hmm_mod
+import hmm_spde.noise as noise_mod
 from hmm_spde.coefficients import CoefficientSpec, preset
 from hmm_spde.hmm import (
     CostReport,
@@ -461,7 +462,7 @@ class TestNoiseLayout:
         p = small_params(M=3, N=3, n_T=2)
         seeds = [4, 2**40 + 1]
         if chunk is not None:
-            monkeypatch.setattr(hmm_mod, "_CHUNK_STEPS", chunk)
+            monkeypatch.setattr(noise_mod, "_CHUNK_STEPS", chunk)
         handed = []
 
         def recording_step(y, x_grid, xi, increment, *rest):
@@ -534,7 +535,7 @@ class TestSeedAxis:
         p = small_params(M=2, N=2, n_T=3)
         singles = [run_hmm(default_x0(K), np.zeros(K), P1, op, op, p, s) for s in seeds]
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(hmm_mod, "_CHUNK_STEPS", chunk)
+            m.setattr(noise_mod, "_CHUNK_STEPS", chunk)
             batch = run_hmm(default_x0(K), np.zeros(K), P1, op, op, p, seeds)
         assert batch.cost.total_micro_steps == len(seeds) * p.n_0 * p.M * p.m_0
         for s, one in enumerate(singles):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmm_spde.micro as micro_mod
+import hmm_spde.noise as noise_mod
 from hmm_spde.coefficients import CoefficientSpec, preset
 from hmm_spde.micro import (
     contraction_factor,
@@ -295,7 +296,7 @@ class TestRunMicro:
         op = laplacian_spec(K)
         args = (np.zeros(K), np.zeros(K), 300, NoiseStreamKey(3, replica=1), P1, op, 0.05)
         full = run_micro(*args)
-        monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", 7)
+        monkeypatch.setattr(noise_mod, "_CHUNK_STEPS", 7)
         chunked = run_micro(*args)
         np.testing.assert_array_equal(full.y, chunked.y)
 
@@ -314,7 +315,7 @@ class TestRunMicro:
                 run_micro(*args, **kw)
             return
         full = run_micro(*args, **kw)
-        with mock.patch.object(micro_mod, "_CHUNK_STEPS", chunk):
+        with mock.patch.object(noise_mod, "_CHUNK_STEPS", chunk):
             chunked = run_micro(*args, **kw)
         np.testing.assert_array_equal(full.y, chunked.y)
         assert full.window_size == chunked.window_size
@@ -366,7 +367,7 @@ class TestRunMicro:
         spec = CoefficientSpec(name="xonly", f=lambda xi, x, y: np.sin(np.pi * xi) * x,
                                g=None, sup_f=1.0, sup_g=0.0, lipschitz_g_y=0.0)
         x = np.linspace(-1, 1, K)
-        monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", 7)
+        monkeypatch.setattr(noise_mod, "_CHUNK_STEPS", 7)
         res = run_micro(np.zeros(K), x, 30, NoiseStreamKey(1, replica=1), spec, op, 0.05, warmup=3)
         row = spec.f(grid_points(K), to_grid(x), None)
         acc = np.zeros(K)
@@ -386,7 +387,7 @@ class TestRunMicro:
         with pytest.raises(ValueError, match=r"seed\(s\) \[4\] within steps 1\.\.10"):
             run_micro(*args)
         # the check runs once per noise chunk
-        monkeypatch.setattr(micro_mod, "_CHUNK_STEPS", 3)
+        monkeypatch.setattr(noise_mod, "_CHUNK_STEPS", 3)
         with pytest.raises(ValueError, match=r"seed\(s\) \[4\] within steps 1\.\.3"):
             run_micro(*args)
 

@@ -1,8 +1,13 @@
 import dataclasses
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hmm_spde.noise as noise_mod
 from hmm_spde.noise import (
     NoiseStreamKey,
     NoiseStreams,
@@ -84,18 +89,70 @@ class TestNoiseStreams:
         with pytest.raises(ValueError, match="positive"):
             draw_increments(NoiseStreams(keys, 15), dt, 1)
 
-    def test_keep_stops_trailing_streams(self):
-        # the kept streams read on from where they were; the rest are dropped
+    def test_chunks_close_ended_streams(self):
+        # ends 7, 7, 3 in chunks of 2: the chunk at step 2 stops at the third
+        # stream's end, which is then closed; the first two read on from
+        # where they were, and stay open after the plan
         keys = [NoiseStreamKey(7, replica=j) for j in (1, 2, 3)]
         streams = NoiseStreams(keys, 5)
-        first = streams.standard_normals(3)
-        streams.keep(2)
-        rest = streams.standard_normals(4)
-        assert rest.shape == (4, 2, 5)
+        reads = [(done, streams.standard_normals(len(out), out=out).copy())
+                 for done, out in streams.chunks([7, 7, 3], cap=2)]
+        assert [(done, z.shape) for done, z in reads] == [
+            (0, (2, 3, 5)), (2, (1, 3, 5)), (3, (2, 2, 5)), (5, (2, 2, 5))]
+        after = streams.standard_normals(1)
+        assert after.shape == (1, 2, 5)
         for i, key in enumerate(keys[:2]):
             np.testing.assert_array_equal(
-                np.concatenate([first[:, i], rest[:, i]]), standard_normals(key, 5, count=7))
-        np.testing.assert_array_equal(first[:, 2], standard_normals(keys[2], 5, count=3))
+                np.concatenate([z[:, i] for _, z in reads] + [after[:, i]]),
+                standard_normals(key, 5, count=8))
+        np.testing.assert_array_equal(np.concatenate([z[:, 2] for _, z in reads[:2]]),
+                                      standard_normals(keys[2], 5, count=3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ends=st.lists(st.integers(0, 12), min_size=1, max_size=5).map(
+               lambda e: sorted(e, reverse=True)),
+           cap=st.none() | st.integers(1, 6), budget=st.integers(1, 40),
+           K=st.integers(1, 6))
+    def test_chunks_read_each_stream_once_in_order(self, ends, cap, budget, K):
+        # with any chunk budget and cap, the plan covers steps 0..end of each
+        # stream once and in order, in views of one buffer whose chunks never
+        # cross an end or exceed their cap, and the draws are the stream's own
+        keys = [NoiseStreamKey(3, replica=j) for j in range(1, len(ends) + 1)]
+        streams = NoiseStreams(keys, K)
+        limit = min(max(1, budget // len(ends)), ends[0] if cap is None else cap)
+        steps = [[] for _ in ends]
+        draws = [[] for _ in ends]
+        bases = set()
+        with mock.patch.object(noise_mod, "_CHUNK_STEPS", budget):
+            for done, out in streams.chunks(ends, cap):
+                n, live, k = out.shape
+                assert k == K and 1 <= n <= limit
+                assert live == sum(e > done for e in ends)
+                assert done + n <= ends[live - 1]
+                assert out.base.size == limit * len(ends) * K
+                bases.add(id(out.base))
+                streams.standard_normals(n, out=out)
+                for i in range(live):
+                    steps[i] += range(done, done + n)
+                    draws[i] += list(out[:, i].copy())
+        assert len(bases) <= 1
+        for key, end, got, z in zip(keys, ends, steps, draws):
+            assert got == list(range(end))
+            if end:
+                np.testing.assert_array_equal(
+                    np.array(z), standard_normals(key, K, count=end).reshape(end, K))
+
+    @pytest.mark.parametrize("ends, cap", [
+        ([3, 4], None),  # increasing
+        ([3], None),  # one end for two streams
+        ([3, -1], None),  # negative
+        ([3, 3], 0),  # a cap of 0 would plan empty chunks forever
+    ])
+    def test_chunks_bad_plan_rejected(self, ends, cap):
+        streams = NoiseStreams([NoiseStreamKey(1, replica=j) for j in (1, 2)], 4)
+        message = f"bad read plan for 2 open streams: ends {ends}, cap {cap}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(streams.chunks(ends, cap))
 
     def test_bad_arguments_rejected(self):
         streams = NoiseStreams([NoiseStreamKey(1, replica=1)], 4)
