@@ -67,7 +67,6 @@ from .hmm import (
 )
 from .direct import DirectRun, run_direct
 from .experiments import (
-    TestFunctional,
     SweepRow,
     RateReport,
     fit_loglog_slope,

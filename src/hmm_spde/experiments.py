@@ -49,7 +49,6 @@ from .spectral import (
 from .spectral import _check_positive, _whole_steps
 
 __all__ = [
-    "TestFunctional",
     "SweepRow",
     "RateReport",
     "fit_loglog_slope",
@@ -68,30 +67,6 @@ __all__ = [
 
 # replica initial states drawn from the stationary law use this stream tag
 INIT_STREAM_TAG = 2
-
-
-@dataclass(frozen=True)
-class TestFunctional:
-    """Bounded smooth observables for weak-error measurements.
-
-    ``cos_inner``: cos(<x, h>); ``exp_neg_norm2``: exp(-|x|^2) (both bounded
-    with bounded first and second derivatives); ``mode_projection``: <x, h>
-    (unbounded, used for symmetry checks only).
-    """
-
-    kind: str
-    h: np.ndarray | None = None
-
-    __test__ = False  # not a pytest class despite the name
-
-    def __call__(self, x: np.ndarray) -> float:
-        if self.kind == "cos_inner":
-            return float(np.cos(np.dot(x, self.h)))
-        if self.kind == "exp_neg_norm2":
-            return float(np.exp(-np.dot(x, x)))
-        if self.kind == "mode_projection":
-            return float(np.dot(x, self.h))
-        raise ValueError(f"unknown functional kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -303,12 +278,14 @@ def macro_order_experiment(
     Integrates the averaged equation with the quadrature-oracle coefficient
     over a dyadic dt sweep; the reference uses dt_min/fine_factor and its
     Richardson gap is reported in the metadata.  Any problem with a Gaussian
-    oracle runs (g = 0 or a linear g); another raises ValueError.  Every dt
-    must be positive and divide T, and an empty sweep raises ValueError.
+    oracle runs (g = 0 or a linear g); another raises ValueError.  T must be
+    positive and finite, every dt positive and a divisor of T, and an empty
+    sweep raises ValueError.
     """
     t0 = time.perf_counter()
     if fine_factor < 1:
         raise ValueError(f"fine_factor must be >= 1, got {fine_factor}")
+    _check_positive("T", T)
     if dt_list is None:
         dt_list = [T / 8, T / 16, T / 32, T / 64, T / 128]
     _check_sweep("dt", dt_list)
@@ -371,6 +348,7 @@ def strong_error_experiment(
         raise ValueError(f"sweep must be one of M, N, n_T, tau; got {sweep!r}")
     _check_samples("n_seeds", n_seeds)
     _check_sweep(sweep, sweep_values, count=sweep != "tau")
+    _check_positive("tau", tau)
     op, coeffs, fbar, x0 = _setup(problem, K)
     if coeffs.has_g:
         raise ValueError(f"the stationary start needs g = 0; {problem!r} has g != 0")
@@ -494,6 +472,7 @@ def weak_error_experiment(
         raise ValueError(f"sweep must be 'tau' or 'n_T', got {sweep!r}")
     _check_samples("n_seeds", n_seeds)
     _check_sweep(sweep, sweep_values, count=sweep == "n_T")
+    _check_positive("tau", tau)
     _check_positive("warmup_time", warmup_time)
     op, coeffs, fbar, x0 = _setup(problem, K)
 
@@ -542,11 +521,12 @@ def averaging_experiment(
     :func:`run_direct` call: its rows are (epsilon, seed) pairs with per-row epsilon and dt,
     stepped in lock step, and each row equals its single run bit for bit.
     ``n_seeds`` that is not an integer or is below 2 (no standard error),
-    an empty sweep or a bad epsilon raises ValueError.
+    an empty sweep, or a bad epsilon or ``tau_direct`` raises ValueError.
     """
     t0 = time.perf_counter()
     _check_samples("n_seeds", n_seeds)
     _check_sweep("epsilon", eps_values)
+    _check_positive("tau_direct", tau_direct)
     eps_arr = np.asarray(sorted(eps_values, reverse=True), float)
     op, coeffs, fbar, x0 = _setup(problem, K)
     if reference_fine_dt is None:

@@ -42,6 +42,7 @@ delta t = epsilon * tau' and its cost grows like 1/epsilon.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ from .coefficients import (
     check_strict_dissipativity,
     check_weak_dissipativity,
 )
-from .micro import _WINDOW_BLOCK, _accumulate, _check_finite, _f_block
+from .micro import _accumulate, _block_steps, _check_finite, _f_block
 from .micro import contraction_factor, step_replicas
 from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
@@ -79,9 +80,10 @@ class HmmParams:
     epsilon, micro_dt, T and macro_dt must be positive and finite (a
     ValueError names the first that is not), T must be a whole number n_0
     of macro steps (relative 1e-9), so a run ends at T, and the effective
-    micro step tau = micro_dt / epsilon must not exceed 1.
-    n_T >= 1 is enforced: the averaging window must not include the carried
-    state before any step of the current macro block has been taken.
+    micro step tau = micro_dt / epsilon must not exceed 1.  N, M and n_T
+    must be integers >= 1 (a ValueError names the first that is not); n_T
+    >= 1 keeps the carried state, taken before any step of the current macro
+    block, out of the averaging window.
     """
 
     epsilon: float
@@ -96,10 +98,10 @@ class HmmParams:
         for name in ("epsilon", "micro_dt"):
             _check_positive(name, getattr(self, name))
         _whole_steps(self.T, self.macro_dt, ("T", "macro_dt"))
-        if self.N < 1 or self.M < 1:
-            raise ValueError("N and M must be >= 1")
-        if self.n_T < 1:
-            raise ValueError("n_T must be >= 1")
+        for name in ("N", "M", "n_T"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be a whole number >= 1, got {count}")
         if self.tau > _TAU_MAX:
             raise ValueError(f"effective micro step tau={self.tau:.3g} exceeds {_TAU_MAX}")
 
@@ -183,8 +185,8 @@ def estimate_ftilde(
 
     Takes the next m0 steps from ``noise`` (see :func:`_increments`) and
     returns (Ftilde as (S, K), states).  After n_T - 1 warm-up steps each
-    window step writes the grid of its states into a block buffer, which
-    holds at most ``_WINDOW_BLOCK`` numbers or one step, and hands it to the
+    window step writes the grid of its states into a block buffer of
+    :func:`~hmm_spde.micro._block_steps` steps, and hands it to the
     next step's g.  f runs once per block, as in
     :func:`~hmm_spde.micro.run_micro`; the block is summed over the replicas
     step by step, then added to the sum in step order.
@@ -197,7 +199,7 @@ def estimate_ftilde(
     for _ in range(params.n_T - 1):
         Y = step_replicas(Y, x_grid, xi, next(noise), res, tau, coeffs)
     f_sum = np.zeros(X.shape)
-    grids = np.empty((min(N, max(1, _WINDOW_BLOCK // Y.size)),) + Y.shape)
+    grids = np.empty((_block_steps(N, Y.size),) + Y.shape)
     y_grid = None
     for lo in range(0, N, len(grids)):
         n = min(len(grids), N - lo)

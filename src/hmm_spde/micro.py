@@ -43,6 +43,13 @@ __all__ = [
 _WINDOW_BLOCK = 2**16
 
 
+def _block_steps(steps: int, numbers: int) -> int:
+    """Steps per window block of states of ``numbers`` numbers each: at most
+    ``_WINDOW_BLOCK`` numbers and at most ``steps``, but at least one step
+    (when ``steps`` > 0)."""
+    return min(steps, max(1, _WINDOW_BLOCK // numbers))
+
+
 def step_replicas(
     y: np.ndarray,
     x_grid: np.ndarray,
@@ -165,7 +172,7 @@ def run_micro(
     mode_sq_sum = np.zeros(K)
 
     streams = NoiseStreams([key], K)
-    block = max(1, _WINDOW_BLOCK // K)
+    block = _block_steps(steps, K)
     for done, out in streams.chunks([steps]):
         n_chunk = len(out)
         z = draw_increments(streams, tau, n_chunk, out=out)[:, 0]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -63,6 +64,14 @@ class TestHmmRun:
         want = choose_params(0.3, 1e-3, "weak", T=1.0, coeffs=preset(problem),
                              op_b=laplacian_spec(63))
         assert cost["n_T"] == want.n_T
+
+    def test_tolerance_mode_keeps_a_dividing_dt(self, tmp_path):
+        # 0.27 / 0.09 = 3.0000000000000004: a dt that divides T keeps its
+        # value, so 4 states at t = 0, 0.09, 0.18, 0.27 (not 5 of dt 0.0675)
+        main(["hmm", "run", "--problem", "p1", "--K", "7", "--tol", "0.09", "--T", "0.27",
+              "--out-dir", str(tmp_path)])
+        rows = read_csv(tmp_path / "hmm_trajectory.csv")
+        assert [r[1] for r in rows[1:]] == ["0", "0.09", "0.18", "0.27"]
 
     def test_seed_reproducibility(self, tmp_path):
         args = [
@@ -165,6 +174,27 @@ class TestRates:
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["rates", "--experiment", "bogus", "--out-dir", str(tmp_path)])
+
+    def test_strong_nt_writes_six_finite_rows(self, tmp_path):
+        # the one path through warmup_bias_experiment and the shared
+        # mean/standard-error rule
+        main(["rates", "--experiment", "strong_nt", "--seed", "1", "--out-dir", str(tmp_path)])
+        rows = read_csv(tmp_path / "strong_nt.csv")[1:]
+        assert len(rows) == 6
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+    def test_score_experiments_write_three_finite_rows(self, tmp_path):
+        # the two drivers of the shared strong/weak score rules: weak_tau
+        # through the batched run_hmm sweep, averaging through run_direct
+        for name in ("weak_tau", "averaging"):
+            main(["rates", "--experiment", name, "--seeds", "2", "--seed", "1",
+                  "--out-dir", str(tmp_path)])
+        for name in ("weak_tau", "averaging", "averaging_weak"):
+            with open(tmp_path / f"{name}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 3
+            assert all(r["n_samples"] == "2" for r in rows)
+            assert all(math.isfinite(float(v)) for r in rows for v in r.values())
 
 
 def tiny_report(experiment):

@@ -18,7 +18,6 @@ from hmm_spde.averaging import (
 from hmm_spde.coefficients import CoefficientSpec, preset
 from hmm_spde.direct import run_direct
 from hmm_spde.experiments import (
-    TestFunctional,
     _oracle_measure,
     averaging_experiment,
     default_x0,
@@ -152,49 +151,6 @@ class TestSlopeFitParity:
             np.array([1.0, 2.0]), np.array([0.5, 0.3]), np.zeros(2))
         assert slope == stats.linregress(np.log([1.0, 2.0]), np.log([0.5, 0.3])).slope
         assert math.isnan(lo) and math.isnan(hi)
-
-
-class TestFunctionals:
-    def test_cos_inner_bounded_and_smooth(self):
-        K = 8
-        h = np.zeros(K)
-        h[0] = 1.0
-        phi = TestFunctional(kind="cos_inner", h=h)
-        rng = np.random.default_rng(0)
-        eps = 1e-6
-        for _ in range(50):
-            x = rng.standard_normal(K) * 3
-            assert abs(phi(x)) <= 1.0
-            # directional finite-difference first derivative bounded by |h|
-            d = rng.standard_normal(K)
-            d /= np.linalg.norm(d)
-            fd = (phi(x + eps * d) - phi(x - eps * d)) / (2 * eps)
-            assert abs(fd) <= np.linalg.norm(h) + 1e-4
-
-    def test_exp_neg_norm2_bounded_and_smooth(self):
-        K = 6
-        phi = TestFunctional(kind="exp_neg_norm2")
-        rng = np.random.default_rng(1)
-        eps = 1e-6
-        for _ in range(50):
-            x = rng.standard_normal(K)
-            assert 0 < phi(x) <= 1.0
-            d = rng.standard_normal(K)
-            d /= np.linalg.norm(d)
-            fd = (phi(x + eps * d) - phi(x - eps * d)) / (2 * eps)
-            # |grad| = 2 |x| exp(-|x|^2) <= sqrt(2/e)
-            assert abs(fd) <= math.sqrt(2 / math.e) + 1e-4
-
-    def test_mode_projection_linear(self):
-        K = 4
-        h = np.zeros(K)
-        h[2] = 1.0
-        phi = TestFunctional(kind="mode_projection", h=h)
-        assert phi(np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx(3.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            TestFunctional(kind="bogus")(np.zeros(2))
 
 
 class TestInvariantTauSweep:
@@ -431,15 +387,14 @@ class TestWeakError:
         x0 = default_x0(K)
         h = np.zeros(K)
         h[0] = 1.0
-        phi = TestFunctional(kind="mode_projection", h=h)
         xbar = run_averaged(x0, lambda x: np.zeros(K), op, 0.1, params.n_0)[-1]
         R = 400
         vals = np.empty(R)
         for s in range(R):
             y0 = sample_stationary_linear(mix_seed(1, s), params.tau, op, params.M)
             run = run_hmm(x0, y0, spec, op, op, params, mix_seed(2, s))
-            vals[s] = phi(run.X_final)
-        assert abs(vals.mean() - phi(xbar)) <= 4 * vals.std(ddof=1) / math.sqrt(R)
+            vals[s] = run.X_final @ h
+        assert abs(vals.mean() - xbar @ h) <= 4 * vals.std(ddof=1) / math.sqrt(R)
 
     def test_tiny_run_structure(self):
         rep = weak_error_experiment(sweep_values=(0.05, 0.02), K=7, n_seeds=4,
@@ -473,16 +428,15 @@ class TestWeakError:
         x0 = default_x0(K)
         h = np.zeros(K)
         h[0] = 1.0
-        phi = TestFunctional(kind="cos_inner", h=h)
         for ip, tau in enumerate(sweep_values):
             params = HmmParams(epsilon=1e-6, macro_dt=0.1, micro_dt=1e-6 * tau, T=T,
                                N=1, M=1, n_T=max(1, int(round(warmup_time / tau))))
-            phi_bar = phi(run_averaged(x0, fbar, op, params.macro_dt, params.n_0)[-1])
+            phi_bar = np.cos(run_averaged(x0, fbar, op, params.macro_dt, params.n_0)[-1] @ h)
             vals = np.empty(n_seeds)
             for s in range(n_seeds):
                 run = run_hmm(x0, np.zeros(K), coeffs, op, op, params,
                               mix_seed(seed, ip, s))
-                vals[s] = phi(run.X_final)
+                vals[s] = np.cos(run.X_final @ h)
             assert rep.rows[ip].error == abs(vals.mean() - phi_bar)
             assert rep.rows[ip].mc_stderr == vals.std(ddof=1) / math.sqrt(n_seeds)
 
@@ -520,7 +474,6 @@ class TestAveraging:
         ref = reference_solution(x0, fbar, op, T, T / 2048)
         h = np.zeros(K)
         h[0] = 1.0
-        phi = TestFunctional(kind="cos_inner", h=h)
         for ip, eps in enumerate(sorted(eps_values, reverse=True)):
             dist = np.empty(n_seeds)
             phis = np.empty(n_seeds)
@@ -528,11 +481,11 @@ class TestAveraging:
                 run = run_direct(x0, np.zeros(K), coeffs, op, op, eps, eps * tau_direct,
                                  T, mix_seed(seed, ip, s))
                 dist[s] = np.linalg.norm(run.trajectory_X[-1] - ref.field)
-                phis[s] = phi(run.trajectory_X[-1])
+                phis[s] = np.cos(run.trajectory_X[-1] @ h)
             strong, weak = rep.strong.rows[ip], rep.weak.rows[ip]
             assert strong.error == dist.mean()
             assert strong.mc_stderr == dist.std(ddof=1) / math.sqrt(n_seeds)
-            assert weak.error == abs(phis.mean() - phi(ref.field))
+            assert weak.error == abs(phis.mean() - np.cos(ref.field @ h))
             assert weak.mc_stderr == phis.std(ddof=1) / math.sqrt(n_seeds)
 
     def test_refining_dt_does_not_move_estimates(self):
@@ -607,9 +560,26 @@ class TestSweepEntry:
         (macro_order_experiment, dict(dt_list=[]), r"^dt sweep is empty$"),
         (warmup_bias_experiment, dict(n_T_values=()), r"^n_T sweep is empty$"),
         (invariant_law_tau_sweep, dict(K=7, tau_list=()), r"^tau sweep is empty$"),
+        # the fixed step inputs, checked next to the sweep: the taus failed
+        # as "micro_dt must be positive and finite", tau_direct = 0 built the
+        # reference first, and a bad T failed as "dt must be ..."
+        (strong_error_experiment, dict(tau=0.0), r"^tau must be positive and finite, got 0\.0$"),
+        (strong_error_experiment, dict(sweep="tau", sweep_values=(1e-4,), tau=0.0),
+         r"^tau must be positive and finite, got 0\.0$"),
+        (weak_error_experiment, dict(tau=math.nan), r"^tau must be positive and finite, got nan$"),
+        (weak_error_experiment, dict(sweep="n_T", sweep_values=(2,), tau=math.nan),
+         r"^tau must be positive and finite, got nan$"),
+        (averaging_experiment, dict(tau_direct=0.0),
+         r"^tau_direct must be positive and finite, got 0\.0$"),
+        (macro_order_experiment, dict(T=0.0), r"^T must be positive and finite, got 0\.0$"),
+        (macro_order_experiment, dict(T=-1.0), r"^T must be positive and finite, got -1\.0$"),
+        (macro_order_experiment, dict(T=math.inf), r"^T must be positive and finite, got inf$"),
     ], ids=["weak-tau-0", "weak-tau-nan", "warmup-negative", "warmup-0", "strong-tau-0",
             "averaging-eps-negative", "strong-empty", "weak-empty", "averaging-empty",
-            "macro-order-empty", "warmup-bias-empty", "invariant-tau-empty"])
+            "macro-order-empty", "warmup-bias-empty", "invariant-tau-empty",
+            "strong-m-fixed-tau-0", "strong-tau-fixed-tau-0", "weak-tau-fixed-tau-nan",
+            "weak-nt-fixed-tau-nan", "averaging-tau-direct-0", "macro-order-T-0",
+            "macro-order-T-negative", "macro-order-T-inf"])
     def test_bad_sweep_rejected_before_any_work(self, monkeypatch, experiment, kw, message):
         import hmm_spde.experiments as exp_mod
 

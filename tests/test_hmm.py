@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmm_spde.hmm as hmm_mod
+import hmm_spde.micro as micro_mod
 import hmm_spde.noise as noise_mod
 from hmm_spde.coefficients import CoefficientSpec, preset
 from hmm_spde.hmm import (
@@ -72,6 +73,16 @@ class TestHmmParams:
         with pytest.raises(ValueError,
                            match=r"^T 1\.0 is not a whole number of macro_dt 0\.3 steps$"):
             HmmParams(epsilon=1.0, macro_dt=0.3, micro_dt=0.001, T=1.0)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0])
+    @pytest.mark.parametrize("name", ["N", "M", "n_T"])
+    def test_counts_must_be_integers(self, name, value):
+        # before: M=1.5 passed and the run died in numpy with "'float' object
+        # cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number >= 1, got"):
+            HmmParams(epsilon=1.0, macro_dt=0.1, micro_dt=0.01, T=1.0, **{name: value})
+        assert getattr(HmmParams(epsilon=1.0, macro_dt=0.1, micro_dt=0.01, T=1.0,
+                                 **{name: np.int64(2)}), name) == 2
 
     def test_minimum_counts(self):
         with pytest.raises(ValueError):
@@ -426,7 +437,7 @@ class TestWindowBlocks:
             p = small_params(N=N, M=M, n_T=nt)
             seeds = [5, 2**40 + 3, 17][:S]
             if block_steps is not None:
-                monkeypatch.setattr(hmm_mod, "_WINDOW_BLOCK", block_steps * S * M * K)
+                monkeypatch.setattr(micro_mod, "_WINDOW_BLOCK", block_steps * S * M * K)
             X = rng.standard_normal((S, K))
             Y = want_Y = 0.3 * rng.standard_normal((S, M, K))
             noise = hmm_mod._increments(seeds, p, K)
