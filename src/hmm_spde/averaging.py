@@ -37,7 +37,7 @@ from .spectral import (
     to_grid,
     to_spectral,
 )
-from .spectral import _check_positive, _check_step, _mode_count, _whole_steps
+from .spectral import _check_count, _check_positive, _check_step, _mode_count, _whole_steps
 
 __all__ = [
     "InvariantMeasureSpec",
@@ -141,6 +141,7 @@ def _check_sampling(op_b: OperatorSpec, tau: float, window: int, batches: int) -
     _check_positive("tau", tau)
     op_b.euler_denominator(tau)
     _check_samples("batches", batches)
+    _check_count("window", window, floor=0)
     if window < batches:
         raise ValueError(f"window {window} is shorter than batches={batches}")
 
@@ -180,16 +181,22 @@ def run_averaged(
     x0: np.ndarray,
     fbar: FbarProvider,
     op_a: OperatorSpec,
-    dt: float,
+    dt: float | np.ndarray,
     n_steps: int,
 ) -> np.ndarray:
-    """Averaged-scheme trajectory, shape (n_steps + 1, K), row 0 = x0.
+    """Averaged-scheme trajectory, shape ``(n_steps + 1,) + x0.shape``, entry 0 = x0.
 
     Each step is xbar' = R_dt (xbar + dt * fbar(xbar)), written straight
-    into its row of the trajectory.
+    into its entry of the trajectory.  An (R, K) ``x0`` steps R rows in lock
+    step at one ``dt`` or an (R, 1) column of per-row steps; each row equals
+    its own run bit for bit.
     """
-    _check_positive("dt", dt)
-    traj = np.empty((n_steps + 1, _mode_count(x0, ops=(op_a,))))
+    for step in np.ravel(dt):
+        _check_positive("dt", step)
+    _mode_count(x0, ops=(op_a,))
+    if np.ndim(dt) and np.shape(dt) != np.shape(x0)[:-1] + (1,):
+        raise ValueError(f"dt must be one step or one per row of x0, got shape {np.shape(dt)}")
+    traj = np.empty((n_steps + 1,) + np.shape(x0))
     traj[0] = x0
     for xbar, xbar_next in zip(traj[:-1], traj[1:]):
         implicit_euler_step(xbar, fbar(xbar), dt, op_a, out=xbar_next)
@@ -214,19 +221,15 @@ def reference_solution(
 
     Also integrates at half the step and reports the endpoint gap (a
     Richardson self-consistency number the caller should compare against the
-    errors being measured).  Both run in lock step as the rows of one
-    (2, K) stack: one update steps both rows, a second the finer row's other
-    half step; each row equals :func:`run_averaged` at its step bit for bit.
+    errors being measured).  One :func:`run_averaged` call steps the pair
+    [x0, x0] at fine_dt and fine_dt / 2 for n = T / fine_dt steps, a second
+    the finer row's other n half steps from its midpoint.
     """
     n = _whole_steps(T, fine_dt, ("T", "fine_dt"))
-    _mode_count(x0, ops=(op_a,))
     half = fine_dt / 2.0
-    steps = np.array([[fine_dt], [half]])  # per row of the stack
-    xs = np.array([x0, x0], dtype=float)
-    x_fine, x_finer = xs
-    for _ in range(n):
-        implicit_euler_step(xs, fbar(xs), steps, op_a, out=xs)
-        implicit_euler_step(x_finer, fbar(x_finer), half, op_a, out=x_finer)
+    x_fine, x_mid = run_averaged(np.array([x0, x0], dtype=float), fbar, op_a,
+                                 np.array([[fine_dt], [half]]), n)[-1]
+    x_finer = run_averaged(x_mid, fbar, op_a, half, n)[-1]
     return ReferenceSolution(
         field=x_finer,
         fine_dt=half,

@@ -56,6 +56,9 @@ EXPERIMENTS = {
 }
 # the experiments that read --seeds; the others fix their own budget
 _SEEDED = ("strong_m", "weak_tau", "averaging")
+# hmm run flags read only with --dt/--ddt or only with --tol, and their defaults
+_EXPLICIT_FLAGS = {"N": 1, "M": 1, "nT": 1}
+_TOL_FLAGS = {"regime": "weak", "r": 0.0, "kappa": 0.0}
 
 
 def _write_trajectory_csv(path: Path, traj: np.ndarray, dt: float) -> None:
@@ -100,12 +103,23 @@ def _hmm_params_from_args(args, coeffs, op) -> HmmParams:
         missing = [n for n in ("dt", "ddt") if getattr(args, n) is None]
         if missing:
             raise SystemExit(f"explicit parameter mode needs --dt and --ddt (missing {missing})")
+        mode = "explicit parameter mode (--dt/--ddt)"
+        own, foreign = _EXPLICIT_FLAGS, ("tol", *_TOL_FLAGS)
+    elif args.tol is None:
+        raise SystemExit("give either --tol (parameter selection) or explicit --dt/--ddt")
+    else:
+        mode, own, foreign = "parameter selection (--tol)", _TOL_FLAGS, _EXPLICIT_FLAGS
+    given = [f"--{name}" for name in foreign if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{mode} takes no {', '.join(given)}")
+    for name, default in own.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    if explicit:
         return HmmParams(
             epsilon=args.epsilon, macro_dt=args.dt, micro_dt=args.ddt, T=args.T,
             N=args.N, M=args.M, n_T=args.nT,
         )
-    if args.tol is None:
-        raise SystemExit("give either --tol (parameter selection) or explicit --dt/--ddt")
     return choose_params(args.tol, args.epsilon, args.regime, r=args.r, kappa=args.kappa,
                          T=args.T, coeffs=coeffs, op_b=op)
 
@@ -217,14 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(runp)
     runp.add_argument("--tol", type=float, default=None, help="target tolerance")
     runp.add_argument("--epsilon", type=float, default=1e-3)
-    runp.add_argument("--regime", choices=("strong", "weak"), default="weak")
-    runp.add_argument("--r", type=float, default=0.0)
-    runp.add_argument("--kappa", type=float, default=0.0)
+    runp.add_argument("--regime", choices=("strong", "weak"), default=None,
+                      help="with --tol only (default weak)")
+    runp.add_argument("--r", type=float, default=None, help="with --tol only (default 0)")
+    runp.add_argument("--kappa", type=float, default=None, help="with --tol only (default 0)")
     runp.add_argument("--dt", type=float, default=None, help="explicit macro step")
     runp.add_argument("--ddt", type=float, default=None, help="explicit micro step")
-    runp.add_argument("--N", type=int, default=1)
-    runp.add_argument("--M", type=int, default=1)
-    runp.add_argument("--nT", type=int, default=1)
+    runp.add_argument("--N", type=int, default=None, help="with --dt/--ddt only (default 1)")
+    runp.add_argument("--M", type=int, default=None, help="with --dt/--ddt only (default 1)")
+    runp.add_argument("--nT", type=int, default=None, help="with --dt/--ddt only (default 1)")
     runp.set_defaults(func=_cmd_hmm_run)
 
     dir_p = sub.add_parser("direct", help="stiff baseline solver")

@@ -31,14 +31,9 @@ from .averaging import (
 from .coefficients import CoefficientSpec, preset
 from .hmm import HmmParams, run_hmm
 from .direct import run_direct
-from .micro import _f_block, discrete_stationary_variances, step_replicas
-from .noise import (
-    NoiseStreamKey,
-    NoiseStreams,
-    draw_increments,
-    mix_seed,
-    standard_normals,
-)
+from .micro import _f_block, discrete_stationary_variances, run_micro
+from .micro import step_replicas  # noqa: F401  unused; perfbench/spans.py wraps it here by name
+from .noise import NoiseStreamKey, mix_seed, standard_normals
 from .spectral import (
     OperatorSpec,
     grid_points,
@@ -396,10 +391,11 @@ def warmup_bias_experiment(
     with its own experiment.  F is read at the replicas by the window rule
     of :func:`~hmm_spde.micro.run_micro` (an f that ignores y has no bias),
     and the stderr column propagates the per-point replica spread through
-    the same H norm as the error.  The warm-up noise is read forward from
-    one stream of M K numbers per step, one step at a time.  ``M`` that is not
-    an integer or is below 2 (no standard error), a non-finite ``displacement``,
-    an empty sweep or an n_T not a whole number from 1 raises ValueError.
+    the same H norm as the error.  The replicas warm up as one (M, K)
+    :func:`~hmm_spde.micro.run_micro` stack with an empty window, on one
+    stream of M K numbers per step.  ``M`` that is not an integer or is below
+    2 (no standard error), a non-finite ``displacement``, an empty sweep, an
+    n_T not a whole number from 1 or a non-finite state raises ValueError.
     """
     t0 = time.perf_counter()
     _check_sweep("n_T", n_T_values, count=True)
@@ -416,24 +412,21 @@ def warmup_bias_experiment(
 
     xi = grid_points(K)
     x_grid = to_grid(x0)
-    res = 1.0 / op_b.euler_denominator(tau)
 
     errors, stderrs = [], []
     for ip, nt in enumerate(n_T_values):
         point_seed = mix_seed(seed, ip)
         y = sample_stationary_linear(point_seed, tau, op_b, M)
         y[:, 0] += displacement
-        streams = NoiseStreams([NoiseStreamKey(point_seed, replica=1)], M * K)
-        for _, out in streams.chunks([int(nt)], cap=1):
-            draw_increments(streams, tau, 1, out=out)
-            y = step_replicas(y, x_grid, xi, out.reshape(M, K), res, tau, coeffs)
+        y = run_micro(y, x0, int(nt), NoiseStreamKey(point_seed, replica=1), coeffs, op_b,
+                      tau, warmup=int(nt) + 1).y
         mean_grid, se_grid = _mean_stderr(_f_block(coeffs, xi, x_grid, to_grid(y)))
         bias = np.linalg.norm(to_spectral(mean_grid - fbar_grid))
         noise = math.sqrt(float(np.sum(se_grid**2)) / (K + 1))
         errors.append(bias)
         stderrs.append(noise)
 
-    a1 = float(res[0])
+    a1 = 1.0 / float(op_b.euler_denominator(tau)[0])
     return _make_report(
         "strong_nt", "n_T", n_T_values, errors, stderrs, M, t0=t0,
         meta={"problem": problem, "K": K, "tau": tau, "M": M,

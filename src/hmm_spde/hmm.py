@@ -42,7 +42,6 @@ delta t = epsilon * tau' and its cost grows like 1/epsilon.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -58,7 +57,7 @@ from .micro import _accumulate, _block_steps, _check_finite, _f_block
 from .micro import contraction_factor, step_replicas
 from .noise import NoiseStreamKey, NoiseStreams, _SeedAxis, draw_increments
 from .spectral import OperatorSpec, grid_points, implicit_euler_step, to_grid, to_spectral
-from .spectral import _check_positive, _mode_count, _whole_steps
+from .spectral import _check_count, _check_positive, _mode_count, _whole_steps
 
 __all__ = [
     "HmmParams",
@@ -99,9 +98,7 @@ class HmmParams:
             _check_positive(name, getattr(self, name))
         _whole_steps(self.T, self.macro_dt, ("T", "macro_dt"))
         for name in ("N", "M", "n_T"):
-            count = getattr(self, name)
-            if not isinstance(count, numbers.Integral) or count < 1:
-                raise ValueError(f"{name} must be a whole number >= 1, got {count}")
+            _check_count(name, getattr(self, name))
         if self.tau > _TAU_MAX:
             raise ValueError(f"effective micro step tau={self.tau:.3g} exceeds {_TAU_MAX}")
 

@@ -13,12 +13,13 @@ With g = 0 each mode is an AR(1) recursion y_k' = a_k (y_k + sqrt(tau) z),
 a_k = 1/(1 + tau mu_k), whose closed-form laws serve as oracles throughout
 the test suite.
 
-:func:`run_micro` opens one Philox stream at its key and reads it forward in
-the chunks :meth:`~hmm_spde.noise.NoiseStreams.chunks` plans, so the chain
-is the same whatever the chunk size.  Only the recurrence runs step by step:
+:func:`run_micro`, the one fast-chain loop outside the HMM kernel, steps a
+(K,) chain or an (M, K) stack on one Philox stream of y0.size numbers per
+step, read forward in chunks of at most one window block, so the chain is
+the same whatever the chunk size.  Only the recurrence runs step by step:
 each step's state replaces the increment it used, and the window statistics
-(grid transform, f, mode moments) then run once per chunk on blocks of
-those states, cut at batch edges and summed in step order.
+(grid transform, f, mode moments) then run once per chunk on those states,
+cut at batch edges and summed per replica in step order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 from .coefficients import CoefficientSpec
 from .noise import NoiseStreamKey, NoiseStreams, draw_increments
-from .spectral import OperatorSpec, _check_positive, _mode_count, grid_points, to_grid, to_spectral
+from .spectral import OperatorSpec, _mode_count, grid_points, to_grid, to_spectral
+from .spectral import _check_count, _check_positive
 
 __all__ = [
     "MicroRunResult",
@@ -45,9 +47,8 @@ _WINDOW_BLOCK = 2**16
 
 def _block_steps(steps: int, numbers: int) -> int:
     """Steps per window block of states of ``numbers`` numbers each: at most
-    ``_WINDOW_BLOCK`` numbers and at most ``steps``, but at least one step
-    (when ``steps`` > 0)."""
-    return min(steps, max(1, _WINDOW_BLOCK // numbers))
+    ``_WINDOW_BLOCK`` numbers and at most ``steps``, but always one or more."""
+    return max(1, min(steps, _WINDOW_BLOCK // numbers))
 
 
 def step_replicas(
@@ -118,11 +119,11 @@ def discrete_stationary_variances(tau: float, op_b: OperatorSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MicroRunResult:
-    """Endpoint ``y`` of a fast-chain run and its window statistics (None when
-    the window m = warmup..steps is empty): the spectral averages of
-    F(frozen_x, Y_m) over each batch (``f_batch_means``, (batches, K)) and over
-    the window (``f_window_mean``, (K,)), and those of the raw and squared mode
-    coefficients over the window (``mode_mean``, ``mode_second_moment``)."""
+    """Endpoint ``y`` of a fast-chain run and its window statistics per replica
+    (None when the window m = warmup..steps is empty): the spectral averages
+    of F(frozen_x, Y_m) over each batch (``f_batch_means``, (batches,) + y.shape)
+    and over the window (``f_window_mean``), and those of the raw and squared
+    mode coefficients over the window (``mode_mean``, ``mode_second_moment``)."""
 
     y: np.ndarray
     f_window_mean: np.ndarray | None
@@ -143,23 +144,27 @@ def run_micro(
     warmup: int = 1,
     batches: int = 1,
 ) -> MicroRunResult:
-    """Run the fast chain ``steps`` steps and average F over m >= warmup.
+    """Run the fast chain from a (K,) or (M, K) ``y0`` ``steps`` steps and
+    average F over m >= warmup, per replica.
 
-    Step m (0-based) reads step ``key.step + m`` of the key's stream, and
-    each of the ``batches`` equal batches of the window sums its steps from
-    zero in step order.  A window ``batches`` does not divide, a ``tau`` that
-    is not positive and finite, or a non-finite state (named by the key's
-    seed and the steps of its noise chunk) raises ValueError.
+    Step m (0-based) reads step ``key.step + m`` of the key's stream,
+    ``y0.size`` numbers, and each of the ``batches`` equal batches of the
+    window sums its steps from zero in step order.  Another ``y0`` shape, a
+    ``steps``, ``warmup`` or ``batches`` that is not a whole number, a
+    window ``batches`` does not divide, a ``tau`` that is not positive and
+    finite, or a non-finite state (named by the key's seed and the steps of
+    its noise chunk) raises ValueError.
     """
     _check_positive("tau", tau)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if warmup < 1:
-        raise ValueError("warmup must be >= 1: the window must exclude the initial state")
+    _check_count("steps", steps, floor=0)
+    _check_count("warmup", warmup)  # from 1: the window excludes the initial state
     K = _mode_count(y0, frozen_x, ops=(op_b,))
+    if np.ndim(y0) not in (1, 2):
+        raise ValueError(f"y0 must be a (K,) field or an (M, K) stack, got shape {np.shape(y0)}")
     count = max(0, steps - warmup + 1)  # window m = warmup..steps
     if batches < 1 or count % batches:
         raise ValueError(f"a window of {count} steps does not split into {batches} batches")
+    _check_count("batches", batches)  # after the split check, which names a count below 1
     per_batch = count // batches
 
     xi = grid_points(K)
@@ -167,23 +172,22 @@ def run_micro(
     res = 1.0 / op_b.euler_denominator(tau)
 
     y = np.array(y0, dtype=float)
-    f_sum = np.zeros((batches, K))
-    mode_sum = np.zeros(K)
-    mode_sq_sum = np.zeros(K)
+    f_sum = np.zeros((batches,) + y.shape)
+    mode_sum = np.zeros(y.shape)
+    mode_sq_sum = np.zeros(y.shape)
 
-    streams = NoiseStreams([key], K)
-    block = _block_steps(steps, K)
-    for done, out in streams.chunks([steps]):
+    streams = NoiseStreams([key], y.size)
+    for done, out in streams.chunks([steps], cap=_block_steps(steps, y.size)):
         n_chunk = len(out)
-        z = draw_increments(streams, tau, n_chunk, out=out)[:, 0]
+        z = draw_increments(streams, tau, n_chunk, out=out).reshape((n_chunk,) + y.shape)
         for i in range(n_chunk):
             y = step_replicas(y, x_grid, xi, z[i], res, tau, coeffs)
             z[i] = y  # row i now holds the state after step done + i + 1
         _check_finite((key.master_seed,), f"within steps {done + 1}..{done + n_chunk}", y[None])
         lo = max(0, warmup - done - 1)
-        while lo < n_chunk:  # blocks end at batch edges
+        while lo < n_chunk:  # one window block, cut at batch edges
             b, pos = divmod(done + lo + 1 - warmup, per_batch)
-            hi = min(n_chunk, lo + block, lo + per_batch - pos)
+            hi = min(n_chunk, lo + per_batch - pos)
             states = z[lo:hi]
             f_sum[b] = _accumulate(f_sum[b], _f_block(coeffs, xi, x_grid, to_grid(states)))
             mode_sum = _accumulate(mode_sum, states)

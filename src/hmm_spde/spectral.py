@@ -22,6 +22,7 @@ may be an input.  No function modifies its arguments apart from ``out``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,7 @@ class OperatorSpec:
 
 def laplacian_spec(K: int) -> OperatorSpec:
     """Dirichlet Laplacian on (0, 1) truncated to K modes: eigenvalues pi^2 k^2."""
-    if K < 1:
-        raise ValueError(f"mode count must be >= 1, got {K}")
+    _check_count("K", K)
     k = np.arange(1, K + 1, dtype=float)
     return OperatorSpec(eigenvalues=np.pi**2 * k**2)
 
@@ -124,6 +124,11 @@ def _check_step(step: float | np.ndarray, name: str) -> None:
 def _check_positive(name: str, value: float, where: str = "") -> None:
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}{where}")
+
+
+def _check_count(name: str, value: int, floor: int = 1) -> None:
+    if not isinstance(value, numbers.Integral) or value < floor:
+        raise ValueError(f"{name} must be a whole number >= {floor}, got {value}")
 
 
 def _whole_steps(T: float, dt: float, names: tuple[str, str] = ("T", "dt"),

@@ -359,6 +359,30 @@ class TestAveragedScheme:
             with pytest.raises(ValueError, match="dt"):
                 run_averaged(np.ones(2), lambda x: np.zeros(2), op, dt, 1)
 
+    @pytest.mark.parametrize("problem", ["p1", "p3"])
+    def test_row_stack_equals_per_row_runs(self, problem):
+        # an (R, K) stack with an (R, 1) column of steps gives each row's
+        # own trajectory bit for bit
+        K, n = 7, 17
+        op = laplacian_spec(K)
+        spec, m = TestStackedProviders.measure(problem, op)
+        fbar = make_gaussian_fbar(spec, m)
+        x0 = np.array([np.linspace(0.8, -0.3, K), np.linspace(-0.2, 0.6, K)])
+        steps = np.array([[0.03], [0.011]])
+        traj = run_averaged(x0, fbar, op, steps, n)
+        assert traj.shape == (n + 1, 2, K)
+        for r in range(2):
+            np.testing.assert_array_equal(traj[:, r], run_averaged(x0[r], fbar, op,
+                                                                   steps[r, 0], n))
+
+    def test_bad_step_column_rejected(self):
+        op = laplacian_spec(2)
+        with pytest.raises(ValueError, match=r"^dt must be positive and finite, got -1\.0$"):
+            run_averaged(np.ones((2, 2)), lambda x: np.zeros(2), op, np.array([[0.1], [-1.0]]), 1)
+        with pytest.raises(ValueError, match=r"^dt must be one step or one per row of x0, "
+                                             r"got shape \(3, 1\)$"):
+            run_averaged(np.ones((2, 2)), lambda x: np.zeros(2), op, np.full((3, 1), 0.1), 1)
+
     def test_operator_mode_count_must_match(self):
         # a one-mode operator would broadcast its eigenvalue over 15 modes
         with pytest.raises(ValueError, match="mode counts"):

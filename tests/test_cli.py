@@ -285,6 +285,24 @@ REJECTED = [
     pytest.param(["hmm", "run", "--dt", "0.1"],
                  r"explicit parameter mode needs --dt and --ddt \(missing \['ddt'\]\)$",
                  id="hmm-dt-without-ddt"),
+    # hmm run refuses the flags its parameter mode does not read: --tol ran
+    # M = N = n_T = 1, --dt/--ddt ignored --regime, --r and --kappa, and
+    # with --tol as well wrote a direct_cost_ratio computed against that tol
+    pytest.param(["hmm", "run", "--K", "7", "--T", "0.27", "--tol", "0.09", "--M", "16",
+                  "--N", "4"],
+                 r"hmm-spde hmm run: parameter selection \(--tol\) takes no --N, --M$",
+                 id="hmm-tol-with-N-M"),
+    pytest.param(["hmm", "run", "--K", "7", "--T", "0.27", "--tol", "0.09", "--nT", "3"],
+                 r"hmm-spde hmm run: parameter selection \(--tol\) takes no --nT$",
+                 id="hmm-tol-with-nT"),
+    pytest.param(["hmm", "run", "--K", "7", "--T", "0.2", "--dt", "0.1", "--ddt", "1e-4",
+                  "--regime", "strong", "--r", "0.3", "--kappa", "0.2"],
+                 r"hmm-spde hmm run: explicit parameter mode \(--dt/--ddt\) takes no "
+                 r"--regime, --r, --kappa$", id="hmm-explicit-with-regime-r-kappa"),
+    pytest.param(["hmm", "run", "--K", "7", "--T", "0.2", "--tol", "0.3", "--dt", "0.1",
+                  "--ddt", "1e-4"],
+                 r"hmm-spde hmm run: explicit parameter mode \(--dt/--ddt\) takes no --tol$",
+                 id="hmm-explicit-with-tol"),
     # an experiment with its own budget ran and ignored --seeds
     *(pytest.param(["rates", "--experiment", name, "--seeds", "5"],
                    f"hmm-spde rates: --experiment {name} fixes its own Monte-Carlo "

@@ -359,6 +359,62 @@ class TestRunMicro:
             run_micro(np.zeros(K), np.zeros(K), steps, NoiseStreamKey(0, replica=1), P1,
                       laplacian_spec(K), 0.1, warmup=warmup, batches=batches)
 
+    @pytest.mark.parametrize("problem", ["p1", "p2"])
+    def test_replica_stack_equals_hand_loop(self, problem):
+        # an (M, K) stack reads one stream of M K numbers per step and keeps
+        # its window statistics per replica
+        M, K, steps, warmup, batches = 3, 5, 23, 6, 3
+        op = laplacian_spec(K)
+        spec, tau = preset(problem), 0.05
+        x = np.linspace(-1, 1, K)
+        key = NoiseStreamKey(6, replica=2, step=5)
+        y0 = np.linspace(-0.5, 0.5, M * K).reshape(M, K)
+        res = run_micro(y0, x, steps, key, spec, op, tau, warmup=warmup, batches=batches)
+        z = standard_normals(key, M * K, count=steps)
+        per_batch = (steps - warmup + 1) // batches
+        y, f_sum = y0, np.zeros((batches, M, K))
+        mode_sum, mode_sq_sum = np.zeros((M, K)), np.zeros((M, K))
+        for m in range(steps):
+            y = one_step(y, x, z[m].reshape(M, K) * np.sqrt(tau), spec, op, tau)
+            if m + 1 >= warmup:
+                f_sum[(m + 1 - warmup) // per_batch] += spec.f(grid_points(K), to_grid(x),
+                                                               to_grid(y))
+                mode_sum += y
+                mode_sq_sum += y * y
+        count = per_batch * batches
+        np.testing.assert_array_equal(res.y, y)
+        assert res.window_size == count
+        np.testing.assert_array_equal(res.f_batch_means, to_spectral(f_sum / per_batch))
+        np.testing.assert_array_equal(res.f_window_mean, to_spectral(f_sum.sum(axis=0) / count))
+        np.testing.assert_array_equal(res.mode_mean, mode_sum / count)
+        np.testing.assert_array_equal(res.mode_second_moment, mode_sq_sum / count)
+
+    def test_other_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"^y0 must be a \(K,\) field or an \(M, K\) "
+                                             r"stack, got shape \(2, 3, 4\)$"):
+            run_micro(np.zeros((2, 3, 4)), np.zeros(4), 3, NoiseStreamKey(0, replica=1), P1,
+                      laplacian_spec(4), 0.1)
+
+    @pytest.mark.parametrize("shape, steps", [((63,), 3000), ((4, 63), 700)])
+    def test_chunk_holds_at_most_one_window_block(self, monkeypatch, shape, steps):
+        # the noise chunk is capped at one window block, so a chain of
+        # 2^20 steps at K = 63 buffers 0.5 MB of noise, not 16.5 MB
+        lengths = []
+        draw = micro_mod.draw_increments
+
+        def recording(*a, **kw):
+            lengths.append(len(kw["out"]))
+            return draw(*a, **kw)
+
+        monkeypatch.setattr(micro_mod, "draw_increments", recording)
+        K = shape[-1]
+        run_micro(np.zeros(shape), np.zeros(K), steps, NoiseStreamKey(1, replica=1), P1,
+                  laplacian_spec(K), 0.05)
+        block = micro_mod._block_steps(steps, np.prod(shape))
+        assert sum(lengths) == steps
+        assert max(lengths) == block
+        assert block * np.prod(shape) <= max(micro_mod._WINDOW_BLOCK, np.prod(shape))
+
     def test_y_independent_f(self, monkeypatch):
         # an f that returns one (K,) row for a whole block of states is
         # summed once per window step, as the per-step loop summed it

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hmm_spde.averaging import reference_solution, run_averaged
+from hmm_spde.averaging import fbar_sampled, reference_solution, run_averaged
 from hmm_spde.coefficients import eval_F, eval_G, preset
 from hmm_spde.direct import run_direct
+from hmm_spde.experiments import invariant_law_tau_sweep
 from hmm_spde.hmm import HmmParams, run_hmm
 from hmm_spde.micro import run_micro
 from hmm_spde.noise import NoiseStreamKey
@@ -529,6 +530,35 @@ class TestModeCounts:
             "run_micro-frozen_x", "run_micro-op_b", "run_averaged", "reference_solution",
             "eval_F", "eval_G", "run_direct-0d-y0"])
     def test_every_entry_names_both_counts(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+class TestWholeCounts:
+    # HmmParams' rule for whole-number counts, named by the entry's own name
+    # (before: laplacian_spec(3.9) built 4 modes, invariant_law_tau_sweep
+    # reported K = 3.9 with the K = 4 numbers, and the run_micro and
+    # fbar_sampled cases ended in a numpy TypeError or a misleading message)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: laplacian_spec(3.9), "K must be a whole number >= 1, got 3.9"),
+        (lambda: invariant_law_tau_sweep(K=3.9, tau_list=(1e-2, 1e-3)),
+         "K must be a whole number >= 1, got 3.9"),
+        (lambda: run_micro(np.zeros(7), np.zeros(7), 4, _KEY, _P1, _OP7, 0.1, batches=2.0),
+         "batches must be a whole number >= 1, got 2.0"),
+        (lambda: run_micro(np.zeros(7), np.zeros(7), 4.5, _KEY, _P1, _OP7, 0.1),
+         "steps must be a whole number >= 0, got 4.5"),
+        (lambda: run_micro(np.zeros(7), np.zeros(7), -1, _KEY, _P1, _OP7, 0.1),
+         "steps must be a whole number >= 0, got -1"),
+        (lambda: run_micro(np.zeros(7), np.zeros(7), 10, _KEY, _P1, _OP7, 0.1, warmup=2.5),
+         "warmup must be a whole number >= 1, got 2.5"),
+        (lambda: fbar_sampled(_P1, np.zeros(7), _OP7, 0.1, 640.5, _KEY),
+         "window must be a whole number >= 0, got 640.5"),
+    ], ids=["laplacian_spec", "invariant_law_tau_sweep", "run_micro-batches",
+            "run_micro-steps", "run_micro-negative-steps", "run_micro-warmup",
+            "fbar_sampled-window"])
+    def test_every_entry_names_the_count(self, call, message):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == message
